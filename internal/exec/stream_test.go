@@ -286,6 +286,12 @@ func TestStreamDrainFailsPendingCommitsInflight(t *testing.T) {
 
 	tr := smallTrainer()
 	trials := realTrials(tr, 4) // 1 leased (capacity 1) + 3 pending
+	// Long enough that the leased trial is still running when the fleet
+	// poll below observes it: at two epochs a trial can finish between
+	// two polls, and the 1 leased + 3 pending state is then never seen.
+	for i := range trials {
+		trials[i].Hyper.Epochs = 20
+	}
 	type runOut struct {
 		res  []*trainer.Result
 		errs []error

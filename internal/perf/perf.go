@@ -71,14 +71,6 @@ func EventIndex(name string) int {
 	return -1
 }
 
-// Fixed-counter events: common Intel PMUs dedicate fixed counters to
-// cycles, instructions and reference/bus cycles; these never multiplex.
-var fixedEvents = map[int]bool{
-	EventIndexMust("cpu-cycles"):   true,
-	EventIndexMust("instructions"): true,
-	EventIndexMust("bus-cycles"):   true,
-}
-
 // EventIndexMust is EventIndex for known-good names; it panics on a typo,
 // which is a programming error caught by the package tests.
 func EventIndexMust(name string) int {
@@ -124,43 +116,47 @@ func (p Profile) Features() []float64 {
 // eventTraits holds the per-event generative parameters, derived once from
 // a fixed seed so every Sampler agrees on the event model.
 type eventTraits struct {
-	logBase     float64 // base log10 rate at reference cycles
+	base        float64 // base rate at reference cycles: 10^logBase
 	wCompute    float64 // sensitivity to compute intensity
 	wMemory     float64 // sensitivity to memory intensity
 	wBranch     float64 // sensitivity to branch intensity
 	missLike    bool    // miss-type events respond to batch locality
 	memoryClass bool    // memory-hierarchy events respond to spill pressure
+	fixed       bool    // counted on a fixed counter: never multiplexed
 }
 
 // Sampler generates per-second event observations and per-epoch profiles.
 type Sampler struct {
-	table []eventTraits
+	table [NumEvents]eventTraits
+	share float64 // fraction of each window a multiplexed event is counted
 	model costmodel.Model
 }
 
 // NewSampler builds a sampler with the canonical event table.
 func NewSampler() *Sampler {
 	r := xrand.New(0x5eed_e4e7) // fixed: the event model is part of the spec
-	table := make([]eventTraits, NumEvents)
+	s := &Sampler{model: costmodel.Default()}
+	multiplexed := 0
 	for i, name := range eventNames {
 		et := eventTraits{
 			wCompute: r.Range(-0.5, 0.5),
 			wMemory:  r.Range(-0.5, 0.5),
 			wBranch:  r.Range(-0.5, 0.5),
 		}
+		var logBase float64
 		lower := strings.ToLower(name)
 		switch {
 		case strings.Contains(lower, "miss") || strings.Contains(lower, "bubble") ||
 			strings.Contains(lower, "abort") || strings.Contains(lower, "conflict"):
-			et.logBase = r.Range(3.5, 5.5)
+			logBase = r.Range(3.5, 5.5)
 			et.missLike = true
 		case strings.Contains(lower, "cycles") || strings.Contains(lower, "slots") ||
 			strings.Contains(lower, "msr"):
-			et.logBase = r.Range(7.5, 9.0)
+			logBase = r.Range(7.5, 9.0)
 		case strings.Contains(lower, "instructions"):
-			et.logBase = r.Range(8.0, 9.0)
+			logBase = r.Range(8.0, 9.0)
 		default:
-			et.logBase = r.Range(5.5, 7.5)
+			logBase = r.Range(5.5, 7.5)
 		}
 		switch {
 		case strings.Contains(lower, "branch"):
@@ -174,11 +170,21 @@ func NewSampler() *Sampler {
 			et.wCompute += 1.2
 		}
 		if strings.Contains(lower, "smi") { // system-management interrupts: rare
-			et.logBase = r.Range(0.5, 1.5)
+			logBase = r.Range(0.5, 1.5)
 		}
-		table[i] = et
+		et.base = math.Pow(10, logBase)
+		// Common Intel PMUs dedicate fixed counters to cycles, instructions
+		// and reference/bus cycles; every other event multiplexes.
+		switch name {
+		case "cpu-cycles", "instructions", "bus-cycles":
+			et.fixed = true
+		default:
+			multiplexed++
+		}
+		s.table[i] = et
 	}
-	return &Sampler{table: table, model: costmodel.Default()}
+	s.share = float64(GenericCounters) / float64(multiplexed)
+	return s
 }
 
 // MultiplexScale applies the kernel's estimate for a counter that was only
@@ -191,87 +197,95 @@ func MultiplexScale(raw, timeEnabled, timeRunning float64) float64 {
 	return raw * timeEnabled / timeRunning
 }
 
-// trueRate computes the noiseless events/second for event i.
-func (s *Sampler) trueRate(i int, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase) float64 {
-	et := s.table[i]
-	// Active cycles scale with cores; utilisation drops during the
-	// sync-heavy regimes the cost model identifies.
-	bd, err := s.model.EpochBreakdown(tr, h, sys)
-	util := 0.7
-	if err == nil {
-		util = 0.45 + 0.55*bd.ComputeFraction()
+// rates computes the noiseless events/second of every event. Its inputs
+// are constant across an epoch window, so it runs once per window and
+// every per-second sample draws from the result.
+func (s *Sampler) rates(rate *[NumEvents]float64, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase) error {
+	if phase != PhaseInit && phase != PhaseTrain {
+		return fmt.Errorf("perf: invalid phase %d", phase)
 	}
+	// Active cycles scale with cores; utilisation drops during the
+	// sync-heavy regimes the cost model identifies. EpochBreakdown also
+	// validates the hyperparameters, system configuration and traits.
+	bd, err := s.model.EpochBreakdown(tr, h, sys)
+	if err != nil {
+		return fmt.Errorf("perf: %w", err)
+	}
+	util := 0.45 + 0.55*bd.ComputeFraction()
 	cyclesScale := float64(sys.Cores) / 8.0 * util
 
-	mix := math.Exp(et.wCompute*(tr.ComputeIntensity-0.5) +
-		et.wMemory*(tr.MemoryIntensity-0.5) +
-		et.wBranch*(tr.BranchIntensity-0.5))
-
-	rate := math.Pow(10, et.logBase) * cyclesScale * mix
-
-	if et.missLike {
-		// Larger batches improve locality: fewer misses per second. The
-		// effect is kept an order of magnitude below the inter-family
-		// differences so configuration changes perturb a workload's
-		// signature without moving it across family clusters.
-		rate *= math.Pow(32/float64(h.BatchSize), 0.05)
+	// Larger batches improve locality: fewer misses per second. The effect
+	// is kept an order of magnitude below the inter-family differences so
+	// configuration changes perturb a workload's signature without moving
+	// it across family clusters.
+	locality := math.Pow(32/float64(h.BatchSize), 0.05)
+	spill := 1.0 // exact identity when the working set fits
+	if required := costmodel.MemoryRequiredGB(tr, h); float64(sys.MemoryGB) < required {
+		shortfall := (required - float64(sys.MemoryGB)) / required
+		spill = 1 + 0.4*shortfall
 	}
-	if et.memoryClass {
-		required := costmodel.MemoryRequiredGB(tr, h)
-		if float64(sys.MemoryGB) < required {
-			shortfall := (required - float64(sys.MemoryGB)) / required
-			rate *= 1 + 0.4*shortfall
+
+	for i := range s.table {
+		et := &s.table[i]
+		mix := math.Exp(et.wCompute*(tr.ComputeIntensity-0.5) +
+			et.wMemory*(tr.MemoryIntensity-0.5) +
+			et.wBranch*(tr.BranchIntensity-0.5))
+		r := et.base * cyclesScale * mix
+		if et.missLike {
+			r *= locality
 		}
-	}
-	if phase == PhaseInit {
-		// Initiation is I/O- and allocation-heavy: memory events up,
-		// compute events down (the distinct "Init." column of Figure 2).
 		if et.memoryClass {
-			rate *= 1.8
-		} else {
-			rate *= 0.5
+			r *= spill
 		}
+		if phase == PhaseInit {
+			// Initiation is I/O- and allocation-heavy: memory events up,
+			// compute events down (the distinct "Init." column of Figure 2).
+			if et.memoryClass {
+				r *= 1.8
+			} else {
+				r *= 0.5
+			}
+		}
+		rate[i] = r
 	}
-	return rate
+	return nil
 }
 
-// Sample returns one 1-second observation of all 58 events, including
+// observe adds one 1-second observation of every event to sum, including
 // multiplexing estimation error: fixed-counter events carry only ~0.5%
-// measurement noise, while generic events are observed for a 2/55 share of
-// the window and rescaled, leaving a few percent of estimation error.
-func (s *Sampler) Sample(r *xrand.Source, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase) (Profile, error) {
-	if phase != PhaseInit && phase != PhaseTrain {
-		return nil, fmt.Errorf("perf: invalid phase %d", phase)
-	}
-	if err := h.Validate(); err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
-	multiplexed := NumEvents - len(fixedEvents)
-	share := float64(GenericCounters) / float64(multiplexed)
-	out := make(Profile, NumEvents)
-	for i := range out {
-		rate := s.trueRate(i, tr, h, sys, phase)
-		if fixedEvents[i] {
-			out[i] = r.Jitter(rate, 0.005)
+// measurement noise, while generic events are observed for a 2/55 share
+// of the window and rescaled, leaving a few percent of estimation error.
+func (s *Sampler) observe(r *xrand.Source, sum Profile, rate *[NumEvents]float64) {
+	for i := range s.table {
+		if s.table[i].fixed {
+			sum[i] += r.Jitter(rate[i], 0.005)
 			continue
 		}
 		// The event is scheduled for `share` of the window; the count
 		// observed during that slice is rescaled to the full window.
 		timeEnabled := 1.0
-		timeRunning := share * r.Jitter(1, 0.10) // scheduling slack
-		raw := rate * timeRunning * r.Jitter(1, 0.02)
-		out[i] = MultiplexScale(raw, timeEnabled, timeRunning)
+		timeRunning := s.share * r.Jitter(1, 0.10) // scheduling slack
+		raw := rate[i] * timeRunning * r.Jitter(1, 0.02)
+		sum[i] += MultiplexScale(raw, timeEnabled, timeRunning)
 	}
-	return out, nil
+}
+
+// Sample returns one 1-second observation of all 58 events: an epoch
+// window of one second.
+func (s *Sampler) Sample(r *xrand.Source, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase) (Profile, error) {
+	return s.EpochProfile(r, tr, h, sys, phase, 1)
 }
 
 // EpochProfile averages per-second samples across an epoch window of the
 // given duration (minimum one sample), exactly as §5.3 stores "the average
-// of results during each epoch's time window".
+// of results during each epoch's time window". It returns an error for
+// an invalid phase, hyperparameters, system configuration or workload
+// traits.
 func (s *Sampler) EpochProfile(r *xrand.Source, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase, epochSeconds float64) (Profile, error) {
+	var rate [NumEvents]float64
+	if err := s.rates(&rate, tr, h, sys, phase); err != nil {
+		return nil, err
+	}
 	n := int(epochSeconds)
 	if n < 1 {
 		n = 1
@@ -284,13 +298,7 @@ func (s *Sampler) EpochProfile(r *xrand.Source, tr workload.Traits, h params.Hyp
 	}
 	sum := make(Profile, NumEvents)
 	for k := 0; k < n; k++ {
-		smp, err := s.Sample(r, tr, h, sys, phase)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range smp {
-			sum[i] += v
-		}
+		s.observe(r, sum, &rate)
 	}
 	for i := range sum {
 		sum[i] /= float64(n)

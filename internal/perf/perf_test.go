@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pipetune/internal/params"
@@ -254,5 +255,34 @@ func TestFeaturesScaleInvariantAcrossCores(t *testing.T) {
 	}
 	if sameWorkload*2 > cross {
 		t.Fatalf("core-count change (%v) not well below workload change (%v)", sameWorkload, cross)
+	}
+}
+
+// Traits the cost model rejects must surface as an error rather than be
+// profiled under a made-up utilisation.
+func TestInvalidTraitsRejected(t *testing.T) {
+	s := NewSampler()
+	if _, err := s.EpochProfile(xrand.New(1), workload.Traits{}, params.DefaultHyper(), params.DefaultSysConfig(), PhaseTrain, 10); err == nil ||
+		!strings.HasPrefix(err.Error(), "perf: ") {
+		t.Fatalf("EpochProfile with zero traits: err = %v, want a perf: error", err)
+	}
+	if _, err := s.Sample(xrand.New(1), workload.Traits{}, params.DefaultHyper(), params.DefaultSysConfig(), PhaseTrain); err == nil {
+		t.Fatal("Sample accepted zero traits")
+	}
+}
+
+// The rate vector lives on the stack and samples accumulate in place, so
+// the returned Profile is the only allocation of an epoch window.
+func TestEpochProfileAllocs(t *testing.T) {
+	s := NewSampler()
+	tr := workload.TraitsFor(workload.Workload{Model: workload.LSTM, Dataset: workload.News20})
+	r := xrand.New(1)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.EpochProfile(r, tr, params.DefaultHyper(), params.DefaultSysConfig(), PhaseTrain, 300); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("EpochProfile allocates %v times per window, want 1", allocs)
 	}
 }
