@@ -11,7 +11,7 @@
 //	          [-gt-snapshot-interval 0] [-queue 64] [-bootstrap]
 //	          [-scheduler fifo] [-job-policy fifo]
 //	          [-tenant-weight name=w ...]
-//	          [-exec-backend local] [-exec-wire binary] [-worker-token secret]
+//	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
 //	          [-metrics-enabled] [-metrics-mirror-interval 10s]
 //	          [-pprof-addr localhost:6060]
@@ -19,24 +19,17 @@
 // Trial execution is a pluggable plane: the default -exec-backend=local
 // computes every trial body on an in-process pool, while
 // -exec-backend=remote fans trial bodies out to a fleet of
-// pipetune-worker processes that register with this daemon, lease
-// trials over the work API, stream per-epoch observations back (so
-// PipeTune's pipelined system tuning still fires mid-trial) and
-// heartbeat. A worker silent for -worker-evict-after heartbeats is
+// pipetune-worker processes that each hold one framed binary stream to
+// this daemon (POST /v1/stream): leases are granted in batches, per-epoch
+// observations stream back (so PipeTune's pipelined system tuning still
+// fires mid-trial), results commit delta-encoded, and heartbeats ride
+// the same connection. A worker silent for -worker-evict-after heartbeats is
 // evicted and its leases requeued; results commit at most once. Scale
 // out by simply starting more workers:
 //
 //	pipetuned -exec-backend=remote -worker-token s3cret
 //	pipetune-worker -server http://localhost:8080 -token s3cret -capacity 4
 //	pipetune-worker -server http://localhost:8080 -token s3cret -capacity 4
-//
-// Workers speak one of two wire protocols, selected by -exec-wire: the
-// default binary is a persistent framed stream per worker (batched
-// lease grants, pipelined epoch frames, delta-encoded results — the
-// low-overhead production wire); json is the long-poll HTTP/JSON compat
-// wire; both mounts the two side by side during a fleet migration. Both
-// wires produce byte-identical results. The worker picks its side with
-// the matching -wire flag.
 //
 // -pprof-addr serves net/http/pprof on a separate listener (off by
 // default) for profiling the live daemon without exposing the profiling
@@ -49,7 +42,7 @@
 // and mirrored into an in-memory time-series database every
 // -metrics-mirror-interval. Remote workers ship their local series
 // (trial compute time, epochs, stream codec errors) piggybacked on the
-// heartbeats they already send; both wires carry them.
+// heartbeats they already send.
 // -metrics-enabled=false turns the whole plane off.
 //
 // Job dispatch across tenants is policy-driven: the default -job-policy
@@ -212,7 +205,6 @@ func run() error {
 		bootstrapFlag = flag.Bool("bootstrap", false, "warm-start the ground truth by profiling the Table 3 catalog")
 		drainFlag     = flag.Duration("drain", httpserve.DefaultShutdownTimeout, "graceful-shutdown drain timeout (HTTP and in-flight remote trials)")
 		execFlag      = flag.String("exec-backend", "local", "trial execution backend: local (in-process pool) or remote (pipetune-worker fleet)")
-		wireFlag      = flag.String("exec-wire", exec.WireBinary, "work protocol for remote workers: binary (framed stream), json (long-poll compat) or both")
 		tokenFlag     = flag.String("worker-token", "", "shared bearer token pipetune-worker processes must present (empty = open)")
 		beatFlag      = flag.Duration("worker-heartbeat", 2*time.Second, "heartbeat cadence expected from workers")
 		evictFlag     = flag.Int("worker-evict-after", 3, "consecutive missed heartbeats before a worker is evicted and its leases requeued")
@@ -237,15 +229,6 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown -gt-store %q (want sharded or monolith)", *gtStoreFlag)
 	}
-	var wire string
-	switch *wireFlag {
-	case exec.WireJSON, exec.WireBinary:
-		wire = *wireFlag
-	case "both":
-		wire = "" // an empty RemoteConfig.Wire mounts both protocols
-	default:
-		return fmt.Errorf("unknown -exec-wire %q (want binary, json or both)", *wireFlag)
-	}
 	// One registry for every layer: the service, the admission queue, the
 	// ground-truth store and the execution plane all publish into it, so
 	// a single /metrics scrape sees the whole daemon.
@@ -263,7 +246,6 @@ func run() error {
 			HeartbeatInterval: *beatFlag,
 			MissedHeartbeats:  *evictFlag,
 			Token:             *tokenFlag,
-			Wire:              wire,
 			Metrics:           reg,
 			Logf:              logger.Printf,
 		})
@@ -350,17 +332,17 @@ func run() error {
 
 	srv := &http.Server{Addr: *addrFlag, Handler: svc.Handler()}
 	// Stop the executor BEFORE the listener closes (preShutdown), not via
-	// http.Server.RegisterOnShutdown, for two reasons: remote workers
-	// must still reach the work API to commit in-flight trials during the
-	// execution-plane drain (Shutdown closes listeners before its hooks
-	// run), and open SSE streams only end when their job turns terminal,
-	// so cancelling jobs must precede the HTTP drain or streaming clients
-	// would stall it until the timeout every time.
+	// http.Server.RegisterOnShutdown: open SSE streams only end when their
+	// job turns terminal, so cancelling jobs must precede the HTTP drain
+	// or streaming clients would stall it until the timeout every time.
+	// Worker streams are hijacked connections, which Shutdown leaves
+	// open, so in-flight trials still commit during the execution-plane
+	// drain.
 	err = httpserve.ListenAndServe(context.Background(), srv, *drainFlag, func(addr net.Addr) {
 		logger.Printf("serving the tuning API on %s (%d workers, job-policy=%s, exec-backend=%s, gt=%s store=%s)", addr, *workersFlag, *jobPolicyFlag, *execFlag, orNone(*gtFlag), *gtStoreFlag)
 		logger.Printf("try  curl -s -X POST localhost%s/v1/jobs -d '{\"workload\":\"lenet/mnist\"}'", httpserve.Port(addr))
 		if remote != nil {
-			logger.Printf("awaiting workers (wire=%s): pipetune-worker -server http://localhost%s", *wireFlag, httpserve.Port(addr))
+			logger.Printf("awaiting workers: pipetune-worker -server http://localhost%s", httpserve.Port(addr))
 		}
 	}, svc.Shutdown)
 	// Idempotent backstop for the listener-error path, where Serve's

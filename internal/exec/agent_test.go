@@ -2,29 +2,19 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
-
-	"pipetune/internal/params"
-	"pipetune/internal/trainer"
-	"pipetune/internal/workload"
 )
 
 // startFleet boots a Remote behind a real HTTP server plus n in-process
-// Agents speaking the real wire protocol — the full remote stack in one
-// test binary. Agents speak cfg.Wire ("" = the JSON wire; the daemon
-// mounts both unless cfg.Wire restricts it).
+// Agents speaking the real stream protocol — the full remote stack in
+// one test binary.
 func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelFunc) {
 	t.Helper()
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 50 * time.Millisecond
-	}
-	if cfg.LeaseWait == 0 {
-		cfg.LeaseWait = 50 * time.Millisecond
 	}
 	r := NewRemote(cfg)
 	srv := httptest.NewServer(r.Handler())
@@ -36,7 +26,6 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelF
 			Token:    cfg.Token,
 			Name:     "test-agent",
 			Capacity: 2,
-			Wire:     cfg.Wire,
 		})
 		wg.Add(1)
 		go func() {
@@ -53,107 +42,15 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelF
 	return r, cancel
 }
 
-// TestAgentComputesRemoteTrialsBitIdentically runs real trial bodies
-// through the full HTTP stack — register, lease, epoch streaming,
-// commit — and requires results bit-identical to the local backend's.
-func TestAgentComputesRemoteTrialsBitIdentically(t *testing.T) {
-	r, _ := startFleet(t, 2, RemoteConfig{})
-
-	tr := smallTrainer()
-	trials := realTrials(tr, 4)
-	// Trial 1 carries an observer that switches the system configuration
-	// after epoch 1 — the pipelined-tuning path must survive the wire.
-	var obsMu sync.Mutex
-	var remoteSeen []trainer.EpochStats
-	switched := params.SysConfig{Cores: 16, MemoryGB: 32}
-	mkObserver := func(sink *[]trainer.EpochStats) trainer.EpochObserver {
-		return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
-			obsMu.Lock()
-			*sink = append(*sink, s)
-			obsMu.Unlock()
-			if s.Epoch == 1 {
-				return &switched
-			}
-			return nil
-		})
-	}
-	trials[1].Observer = mkObserver(&remoteSeen)
-
-	results, errs := r.Run(context.Background(), trials, 0)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("remote trial %d: %v", i, err)
-		}
-	}
-
-	var localSeen []trainer.EpochStats
-	localTrials := realTrials(smallTrainer(), 4)
-	localTrials[1].Observer = mkObserver(&localSeen)
-	want, werrs := NewLocal(smallTrainer()).Run(context.Background(), localTrials, 2)
-	for i, err := range werrs {
-		if err != nil {
-			t.Fatalf("local trial %d: %v", i, err)
-		}
-	}
-
-	for i := range trials {
-		if !reflect.DeepEqual(results[i], want[i]) {
-			t.Fatalf("remote trial %d diverges from local backend", i)
-		}
-	}
-	if results[1].FinalSys != switched {
-		t.Fatalf("observer switch lost over the wire: FinalSys %v, want %v", results[1].FinalSys, switched)
-	}
-	if !reflect.DeepEqual(remoteSeen, localSeen) {
-		t.Fatalf("observer saw different epochs remotely:\n remote %d epochs\n local  %d epochs", len(remoteSeen), len(localSeen))
-	}
-	fs := r.Fleet()
-	if fs.CompletedTrials != 4 {
-		t.Fatalf("fleet completed %d trials, want 4", fs.CompletedTrials)
-	}
-}
-
-// TestAgentTokenAuth pins the shared-token gate: a wrong token is
-// rejected with a terminal error, the right one is admitted.
-func TestAgentTokenAuth(t *testing.T) {
-	r := NewRemote(RemoteConfig{Token: "s3cret", HeartbeatInterval: 50 * time.Millisecond})
-	t.Cleanup(r.Close)
-	srv := httptest.NewServer(r.Handler())
-	t.Cleanup(srv.Close)
-
-	bad := NewAgent(AgentConfig{Server: srv.URL, Token: "wrong"})
-	if err := bad.Run(context.Background()); !errors.Is(err, ErrBadToken) {
-		t.Fatalf("wrong token: %v, want ErrBadToken", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	good := NewAgent(AgentConfig{Server: srv.URL, Token: "s3cret"})
-	done := make(chan error, 1)
-	go func() { done <- good.Run(ctx) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(r.Fleet().Workers) == 0 {
-		if !time.Now().Before(deadline) {
-			t.Fatal("correctly-tokened agent never registered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("agent exit: %v, want context.Canceled", err)
-	}
-}
-
 // TestAgentSurvivesEvictionAndReRegisters kills the connection story
-// end to end: an agent that misses the eviction window re-registers and
-// keeps serving, and trials requeued from its dead registration still
-// complete.
+// end to end: evicting an agent that missed the heartbeat window cuts
+// its stream, the agent reconnects under a fresh registration, and it
+// still computes trials.
 func TestAgentSurvivesEvictionAndReRegisters(t *testing.T) {
 	clock := newTestClock()
 	r := NewRemote(RemoteConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
 		MissedHeartbeats:  2,
-		LeaseWait:         20 * time.Millisecond,
 		now:               clock.Now,
 	})
 	t.Cleanup(r.Close)
@@ -178,8 +75,8 @@ func TestAgentSurvivesEvictionAndReRegisters(t *testing.T) {
 	waitFor(func() bool { return len(r.Fleet().Workers) == 1 }, "registration")
 
 	// Push the fake clock past the eviction horizon: the agent (whose
-	// real-time heartbeats cannot move the fake clock) is evicted, then
-	// re-registers on its next 404.
+	// real-time heartbeats cannot move the fake clock) is evicted, the
+	// eviction severs its stream, and the agent reconnects.
 	clock.Advance(time.Second)
 	r.evictStale()
 	waitFor(func() bool {

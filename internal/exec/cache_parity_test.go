@@ -22,8 +22,8 @@ func cachedSmallTrainer() *trainer.Runner {
 // cache's bit-identity guarantee: with the trial prefix cache enabled —
 // daemon-derived CacheKey on every trial, CacheBytes in the shipped
 // TrainerConfig so workers keep warm worker-local caches — the local
-// backend, the JSON fleet and the binary fleet must all reproduce the
-// uncached local results byte for byte across the Table 3 catalog. Every
+// backend and the binary-stream fleet must both reproduce the uncached
+// local results byte for byte across the Table 3 catalog. Every
 // workload appears twice (same prefix, different system configuration:
 // the sys-sweep replay shape), so the second trial exercises a cache hit
 // on whichever process trained the first.
@@ -73,21 +73,14 @@ func TestCacheCrossWireCatalogParity(t *testing.T) {
 	localCached := cachedSmallTrainer()
 	gotLocal := run(NewLocal(localCached), localCached)
 
-	jsonDaemon := cachedSmallTrainer()
-	jsonFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireJSON})
-	gotJSON := run(jsonFleet, jsonDaemon)
-
 	binDaemon := cachedSmallTrainer()
-	binFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireBinary})
+	binFleet, _ := startFleet(t, 2, RemoteConfig{})
 	gotBin := run(binFleet, binDaemon)
 
 	for i := range plain {
 		w := cat[i/2%len(cat)]
 		if gotLocal[i] != plain[i] {
 			t.Errorf("trial %d (%s): cached local diverges from uncached", i, w.Name())
-		}
-		if gotJSON[i] != plain[i] {
-			t.Errorf("trial %d (%s): cached json wire diverges from uncached local", i, w.Name())
 		}
 		if gotBin[i] != plain[i] {
 			t.Errorf("trial %d (%s): cached binary wire diverges from uncached local", i, w.Name())

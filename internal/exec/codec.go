@@ -1,6 +1,6 @@
 package exec
 
-// This file is the binary work protocol's codec: the frame discipline and
+// This file is the work protocol's codec: the frame discipline and
 // the per-message encodings exchanged over one persistent stream between
 // the daemon's Remote backend and a pipetune-worker agent (the stream
 // halves live in stream.go and streamagent.go).
@@ -23,7 +23,7 @@ package exec
 // small counts, length-prefixed strings — appended field by field into a
 // pooled buffer. No reflection, no intermediate maps, no encoding/json.
 // Floats travel as raw bit patterns, so a decoded value is the encoded
-// value, bit for bit — the cross-wire parity suite depends on it.
+// value, bit for bit — the fleet-vs-local parity suite depends on it.
 //
 // Results are delta-encoded against state both ends already share. The
 // daemon holds the lease's trial (workload, hyperparameters, starting
@@ -55,14 +55,9 @@ import (
 	"pipetune/internal/workload"
 )
 
-// Wire kinds selectable on pipetuned (-exec-wire) and pipetune-worker
-// (-wire). The binary stream is the default in both commands; JSON is the
-// long-poll compatibility wire. An empty RemoteConfig.Wire mounts both,
-// so mixed fleets (and the cross-wire parity suite) can share one daemon.
-const (
-	WireJSON   = "json"
-	WireBinary = "binary"
-)
+// WireBinary names the work protocol in FleetStatus.Wire and in the
+// wire label of the pipetune_exec_wire_* metrics.
+const WireBinary = "binary"
 
 // streamUpgradeProto names the protocol in the HTTP Upgrade handshake
 // that turns POST /v1/stream into a raw framed stream.
@@ -312,9 +307,9 @@ func (r *wireReader) finish() error {
 // codecVersion is the stream codec layout version, carried in Hello.
 // Version 2 added the trainer cache budget and the prefix-cache key hint
 // to assignments; version 3 the preferred node class; version 4 the
-// trainer's kernel parallelism degree — all incompatible grant layout
-// changes.
-const codecVersion = 4
+// trainer's kernel parallelism degree; version 5 dropped the long-poll
+// bound from Welcome — all incompatible layout changes.
+const codecVersion = 5
 
 func encodeHello(w *wirebuf, name string, capacity int) {
 	w.u8(codecVersion) // bumped only on incompatible layout changes
@@ -335,7 +330,6 @@ func decodeHello(p []byte) (name string, capacity int, err error) {
 func encodeWelcome(w *wirebuf, resp RegisterResponse) {
 	w.str(resp.WorkerID)
 	w.f64(resp.HeartbeatSeconds)
-	w.f64(resp.LeaseWaitSeconds)
 }
 
 func decodeWelcome(p []byte) (RegisterResponse, error) {
@@ -343,7 +337,6 @@ func decodeWelcome(p []byte) (RegisterResponse, error) {
 	resp := RegisterResponse{
 		WorkerID:         r.str(),
 		HeartbeatSeconds: r.f64(),
-		LeaseWaitSeconds: r.f64(),
 	}
 	return resp, r.finish()
 }
@@ -399,6 +392,15 @@ func readAssignment(r *wireReader, asg *Assignment) {
 	asg.Trainer.Parallelism = int(r.uvarint())
 	asg.CacheKey = r.str()
 	asg.Class = r.str()
+}
+
+// encodeGrant encodes a batch of claimed leases as one Grant payload.
+// Called by the daemon's granter under the backend lock.
+func encodeGrant(w *wirebuf, claim []*lease) {
+	w.uvarint(uint64(len(claim)))
+	for _, l := range claim {
+		appendAssignment(w, l.id, l.attempt, &l.trial)
+	}
 }
 
 // decodeGrant decodes a batch of assignments.

@@ -149,9 +149,7 @@ func TestFrameCorruptionDetected(t *testing.T) {
 func TestAssignmentRoundTrip(t *testing.T) {
 	want := []Assignment{sampleAssignment(), {LeaseID: "ls-000001", Attempt: 1, Trainer: TrainerConfig{TrainSize: 1, TestSize: 1}}}
 	want[1].StreamEpochs = false
-	wb := getWirebuf()
-	defer putWirebuf(wb)
-	wb.uvarint(uint64(len(want)))
+	claim := make([]*lease, len(want))
 	for i := range want {
 		asg := want[i]
 		tr := Trial{
@@ -167,14 +165,33 @@ func TestAssignmentRoundTrip(t *testing.T) {
 		if asg.StreamEpochs {
 			tr.Observer = trainer.ObserverFunc(func(uint64, workload.Workload, params.Hyper, trainer.EpochStats) *params.SysConfig { return nil })
 		}
-		appendAssignment(wb, asg.LeaseID, asg.Attempt, &tr)
+		claim[i] = &lease{id: asg.LeaseID, attempt: asg.Attempt, trial: tr}
 	}
+	wb := getWirebuf()
+	defer putWirebuf(wb)
+	encodeGrant(wb, claim)
 	got, err := decodeGrant(wb.b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("grant round trip:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestHandshakeRoundTrip pins the Hello and Welcome codecs.
+func TestHandshakeRoundTrip(t *testing.T) {
+	wb := getWirebuf()
+	defer putWirebuf(wb)
+	encodeHello(wb, "worker-a", 4)
+	if name, capacity, err := decodeHello(wb.b); err != nil || name != "worker-a" || capacity != 4 {
+		t.Fatalf("hello round trip: %q, %d, %v", name, capacity, err)
+	}
+	want := RegisterResponse{WorkerID: "w-000001", HeartbeatSeconds: 2.5}
+	wb.b = wb.b[:0]
+	encodeWelcome(wb, want)
+	if got, err := decodeWelcome(wb.b); err != nil || got != want {
+		t.Fatalf("welcome round trip: %+v, %v, want %+v", got, err, want)
 	}
 }
 
@@ -255,13 +272,12 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 	return [][]byte{
 		encodeFrameBytes(t, frameHello, func(w *wirebuf) { encodeHello(w, "worker-a", 4) }),
 		encodeFrameBytes(t, frameWelcome, func(w *wirebuf) {
-			encodeWelcome(w, RegisterResponse{WorkerID: "w-000001", HeartbeatSeconds: 2, LeaseWaitSeconds: 5})
+			encodeWelcome(w, RegisterResponse{WorkerID: "w-000001", HeartbeatSeconds: 2})
 		}),
 		encodeFrameBytes(t, frameHeartbeat, func(*wirebuf) {}),
 		encodeFrameBytes(t, frameGrant, func(w *wirebuf) {
-			w.uvarint(1)
 			tr := Trial{ID: asg.TrialID, Workload: asg.Workload, Hyper: asg.Hyper, Sys: asg.Sys, Seed: asg.Seed, Trainer: asg.Trainer}
-			appendAssignment(w, asg.LeaseID, asg.Attempt, &tr)
+			encodeGrant(w, []*lease{{id: asg.LeaseID, attempt: asg.Attempt, trial: tr}})
 		}),
 		encodeFrameBytes(t, frameEpoch, func(w *wirebuf) { encodeEpochFrame(w, asg.LeaseID, asg.Attempt, &st) }),
 		encodeFrameBytes(t, frameDirective, func(w *wirebuf) {

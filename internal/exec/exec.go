@@ -11,11 +11,12 @@
 //     default everywhere (library callers, tests, pipetuned without
 //     flags).
 //   - Remote fans trial bodies out to a fleet of pipetune-worker
-//     processes that register with the daemon, lease trials over an
-//     HTTP/JSON work API, stream per-epoch observations back (so
+//     processes. Each holds one framed binary stream to the daemon
+//     (an upgraded POST /v1/stream), over which it registers, receives
+//     trial leases in batches, streams per-epoch observations back (so
 //     PipeTune's pipelined system tuning and the scheduler's resize
-//     events still fire mid-trial) and heartbeat. A lost worker's leases
-//     are requeued and results commit at most once.
+//     events still fire mid-trial), commits results and heartbeats. A
+//     lost worker's leases are requeued and results commit at most once.
 //
 // The split mirrors the paper's own layering: PipeTune builds on Ray
 // Tune precisely because tuning jobs are fleets of independent trials

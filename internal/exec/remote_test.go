@@ -35,13 +35,12 @@ func (c *testClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// newTestRemote builds a backend on a fake clock with fast polling.
+// newTestRemote builds a backend, on a fake clock when one is given.
 func newTestRemote(t *testing.T, clock *testClock) *Remote {
 	t.Helper()
 	cfg := RemoteConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
 		MissedHeartbeats:  3,
-		LeaseWait:         20 * time.Millisecond,
 	}
 	if clock != nil {
 		cfg.now = clock.Now
@@ -94,20 +93,43 @@ func runAsync(ctx context.Context, r *Remote, trials []Trial) <-chan runOutcome 
 	return ch
 }
 
-// lease pulls the next assignment, failing the test on error.
+// claim runs the stream granter's claim step for one slot of workerID
+// and decodes the claim through the Grant codec, exactly as an agent
+// receives it. A nil assignment means nothing was claimable.
+func claim(r *Remote, workerID string) (*Assignment, error) {
+	wb := getWirebuf()
+	defer putWirebuf(wb)
+	r.mu.Lock()
+	w := r.workers[workerID]
+	if w == nil || w.state != workerActive {
+		r.mu.Unlock()
+		return nil, ErrUnknownWorker
+	}
+	encodeGrant(wb, r.claimLocked(w, 1))
+	r.mu.Unlock()
+	asgs, err := decodeGrant(wb.b)
+	if err != nil || len(asgs) == 0 {
+		return nil, err
+	}
+	return &asgs[0], nil
+}
+
+// leaseOne waits for the next assignment (Run enqueues asynchronously),
+// failing the test on error.
 func leaseOne(t *testing.T, r *Remote, workerID string) *Assignment {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		asg, err := r.NextLease(workerID, 20*time.Millisecond)
+		asg, err := claim(r, workerID)
 		if err != nil {
-			t.Fatalf("NextLease(%s): %v", workerID, err)
+			t.Fatalf("claim(%s): %v", workerID, err)
 		}
 		if asg != nil {
 			return asg
 		}
+		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("NextLease(%s): no assignment before deadline", workerID)
+	t.Fatalf("claim(%s): no assignment before deadline", workerID)
 	return nil
 }
 
@@ -130,9 +152,7 @@ func TestRemoteLeaseLifecycle(t *testing.T) {
 		if asg.Attempt != 1 {
 			t.Fatalf("fresh lease attempt = %d, want 1", asg.Attempt)
 		}
-		if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{
-			Attempt: asg.Attempt, Result: fakeResult(float64(asg.TrialID + 1)),
-		}); err != nil {
+		if err := r.complete(w.WorkerID, []byte(asg.LeaseID), asg.Attempt, fakeResult(float64(asg.TrialID+1)), "", false); err != nil {
 			t.Fatalf("complete %s: %v", asg.LeaseID, err)
 		}
 	}
@@ -162,16 +182,16 @@ func TestRemoteCapacityBound(t *testing.T) {
 	w := register(t, r, "w1", 2)
 	a1 := leaseOne(t, r, w.WorkerID)
 	a2 := leaseOne(t, r, w.WorkerID)
-	if asg, err := r.NextLease(w.WorkerID, time.Millisecond); err != nil || asg != nil {
+	if asg, err := claim(r, w.WorkerID); err != nil || asg != nil {
 		t.Fatalf("third lease on capacity-2 worker: asg=%v err=%v, want none", asg, err)
 	}
 	for _, asg := range []*Assignment{a1, a2} {
-		if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: asg.Attempt, Result: fakeResult(1)}); err != nil {
+		if err := r.complete(w.WorkerID, []byte(asg.LeaseID), asg.Attempt, fakeResult(1), "", false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a3 := leaseOne(t, r, w.WorkerID)
-	if err := r.Complete(w.WorkerID, a3.LeaseID, CompleteRequest{Attempt: a3.Attempt, Result: fakeResult(1)}); err != nil {
+	if err := r.complete(w.WorkerID, []byte(a3.LeaseID), a3.Attempt, fakeResult(1), "", false); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -217,15 +237,15 @@ func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
 	}
 
 	// The dead worker wakes up and tries to commit its stale copy.
-	if err := r.Complete(w1.WorkerID, asg1.LeaseID, CompleteRequest{Attempt: asg1.Attempt, Result: fakeResult(99)}); !errors.Is(err, ErrUnknownWorker) {
+	if err := r.complete(w1.WorkerID, []byte(asg1.LeaseID), asg1.Attempt, fakeResult(99), "", false); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("evicted worker's commit: %v, want ErrUnknownWorker", err)
 	}
 	// Even a still-active worker with the stale attempt is rejected.
-	if err := r.Complete(w2.WorkerID, asg2.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(99)}); !errors.Is(err, ErrLeaseRevoked) {
+	if err := r.complete(w2.WorkerID, []byte(asg2.LeaseID), 1, fakeResult(99), "", false); !errors.Is(err, ErrLeaseRevoked) {
 		t.Fatalf("stale-attempt commit: %v, want ErrLeaseRevoked", err)
 	}
 
-	if err := r.Complete(w2.WorkerID, asg2.LeaseID, CompleteRequest{Attempt: 2, Result: fakeResult(7)}); err != nil {
+	if err := r.complete(w2.WorkerID, []byte(asg2.LeaseID), 2, fakeResult(7), "", false); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -245,10 +265,10 @@ func TestRemoteDuplicateCommit(t *testing.T) {
 	done := runAsync(context.Background(), r, mkTrials(1))
 	w := register(t, r, "w1", 1)
 	asg := leaseOne(t, r, w.WorkerID)
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err != nil {
+	if err := r.complete(w.WorkerID, []byte(asg.LeaseID), 1, fakeResult(1), "", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(2)}); !errors.Is(err, ErrLeaseRevoked) {
+	if err := r.complete(w.WorkerID, []byte(asg.LeaseID), 1, fakeResult(2), "", false); !errors.Is(err, ErrLeaseRevoked) {
 		t.Fatalf("duplicate commit: %v, want ErrLeaseRevoked", err)
 	}
 	out := <-done
@@ -278,28 +298,28 @@ func TestRemoteObserverStreaming(t *testing.T) {
 	if !asg.StreamEpochs {
 		t.Fatal("observed trial not marked StreamEpochs")
 	}
-	dir, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})})
+	dir, err := r.reportEpoch(w.WorkerID, []byte(asg.LeaseID), 1, trainer.EpochStats{Epoch: 1})
 	if err != nil || dir.Revoked {
 		t.Fatalf("epoch 1 report: dir=%+v err=%v", dir, err)
 	}
 	if dir.Sys == nil || *dir.Sys != next {
 		t.Fatalf("epoch 1 directive = %+v, want switch to %v", dir.Sys, next)
 	}
-	// A redelivered report (the agent retries when a response is lost)
-	// answers from the cache: the observer must not advance twice.
-	dup, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})})
+	// A replayed report answers from the cache: the observer must not
+	// advance twice.
+	dup, err := r.reportEpoch(w.WorkerID, []byte(asg.LeaseID), 1, trainer.EpochStats{Epoch: 1})
 	if err != nil || dup.Sys == nil || *dup.Sys != next {
 		t.Fatalf("duplicate epoch 1 report: dir=%+v err=%v, want cached directive", dup, err)
 	}
-	dir, err = r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 2})})
+	dir, err = r.reportEpoch(w.WorkerID, []byte(asg.LeaseID), 1, trainer.EpochStats{Epoch: 2})
 	if err != nil || dir.Revoked || dir.Sys != nil {
 		t.Fatalf("epoch 2 report: dir=%+v err=%v", dir, err)
 	}
 	// A stale attempt's report is answered with a revocation, not relayed.
-	if dir, _ := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 99, Epoch: WireEpoch(trainer.EpochStats{Epoch: 3})}); !dir.Revoked {
+	if dir, _ := r.reportEpoch(w.WorkerID, []byte(asg.LeaseID), 99, trainer.EpochStats{Epoch: 3}); !dir.Revoked {
 		t.Fatalf("stale report not revoked: %+v", dir)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err != nil {
+	if err := r.complete(w.WorkerID, []byte(asg.LeaseID), 1, fakeResult(1), "", false); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -331,7 +351,7 @@ func TestRemoteDrain(t *testing.T) {
 	// In-flight work may still commit during the drain window...
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := r.Complete(w.WorkerID, asgA.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err == nil {
+		if err := r.complete(w.WorkerID, []byte(asgA.LeaseID), 1, fakeResult(1), "", false); err == nil {
 			break
 		} else if !time.Now().Before(deadline) {
 			t.Fatalf("in-flight commit during drain never succeeded: %v", err)
@@ -352,10 +372,12 @@ func TestRemoteDrain(t *testing.T) {
 	if !errors.Is(out.errs[2], ErrDraining) {
 		t.Fatalf("pending trial at drain: %v, want ErrDraining", out.errs[2])
 	}
-	// No leases are issued once draining — and the worker is told to
-	// back off (503) rather than invited to re-poll instantly.
-	if asg, err := r.NextLease(w.WorkerID, time.Millisecond); !errors.Is(err, ErrDraining) || asg != nil {
-		t.Fatalf("lease while draining: asg=%v err=%v, want ErrDraining", asg, err)
+	// No leases are claimed once draining, even for a queued trial.
+	r.mu.Lock()
+	r.pending = append(r.pending, &lease{id: "ls-late", state: leasePending, done: make(chan struct{})})
+	r.mu.Unlock()
+	if asg, err := claim(r, w.WorkerID); err != nil || asg != nil {
+		t.Fatalf("lease while draining: asg=%v err=%v, want none", asg, err)
 	}
 	// New batches are refused outright.
 	_, errs := r.Run(context.Background(), mkTrials(1), 0)
@@ -378,10 +400,10 @@ func TestRemoteRunCancellation(t *testing.T) {
 	asg := leaseOne(t, r, w.WorkerID)
 	cancel()
 	// The in-flight trial keeps streaming and may still commit.
-	if dir, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})}); err != nil || dir.Revoked {
+	if dir, err := r.reportEpoch(w.WorkerID, []byte(asg.LeaseID), 1, trainer.EpochStats{Epoch: 1}); err != nil || dir.Revoked {
 		t.Fatalf("cancelled-but-computing lease's epoch report: dir=%+v err=%v", dir, err)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(5)}); err != nil {
+	if err := r.complete(w.WorkerID, []byte(asg.LeaseID), 1, fakeResult(5), "", false); err != nil {
 		t.Fatalf("salvage commit after cancel: %v", err)
 	}
 	out := <-done
@@ -449,7 +471,7 @@ func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 
 	w1 := register(t, r, "gives-up", 1)
 	asg1 := leaseOne(t, r, w1.WorkerID)
-	if err := r.Complete(w1.WorkerID, asg1.LeaseID, CompleteRequest{Attempt: 1, Abandoned: true}); err != nil {
+	if err := r.complete(w1.WorkerID, []byte(asg1.LeaseID), 1, nil, "", true); err != nil {
 		t.Fatalf("abandon commit: %v", err)
 	}
 	if resets != 1 {
@@ -466,7 +488,7 @@ func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 	if asg2.LeaseID != asg1.LeaseID || asg2.Attempt != 2 {
 		t.Fatalf("requeued lease = %s attempt %d, want %s attempt 2", asg2.LeaseID, asg2.Attempt, asg1.LeaseID)
 	}
-	if err := r.Complete(w2.WorkerID, asg2.LeaseID, CompleteRequest{Attempt: 2, Result: fakeResult(3)}); err != nil {
+	if err := r.complete(w2.WorkerID, []byte(asg2.LeaseID), 2, fakeResult(3), "", false); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -482,7 +504,7 @@ func TestRemoteWorkerError(t *testing.T) {
 	done := runAsync(context.Background(), r, mkTrials(1))
 	w := register(t, r, "w1", 1)
 	asg := leaseOne(t, r, w.WorkerID)
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Error: "boom"}); err != nil {
+	if err := r.complete(w.WorkerID, []byte(asg.LeaseID), 1, nil, "boom", false); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -523,7 +545,7 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 					return
 				default:
 				}
-				asg, err := r.NextLease(reg.WorkerID, 5*time.Millisecond)
+				asg, err := claim(r, reg.WorkerID)
 				if err != nil {
 					// Evicted by the churn goroutine: re-register.
 					reg, err = r.Register(RegisterRequest{Name: fmt.Sprintf("w%d", i), Capacity: 2})
@@ -534,12 +556,13 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 				}
 				_ = r.Heartbeat(reg.WorkerID)
 				if asg == nil {
+					time.Sleep(time.Millisecond)
 					continue
 				}
-				if _, err := r.ReportEpoch(reg.WorkerID, asg.LeaseID, EpochReport{Attempt: asg.Attempt, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})}); err != nil {
+				if _, err := r.reportEpoch(reg.WorkerID, []byte(asg.LeaseID), asg.Attempt, trainer.EpochStats{Epoch: 1}); err != nil {
 					continue
 				}
-				if err := r.Complete(reg.WorkerID, asg.LeaseID, CompleteRequest{Attempt: asg.Attempt, Result: fakeResult(1)}); err == nil {
+				if err := r.complete(reg.WorkerID, []byte(asg.LeaseID), asg.Attempt, fakeResult(1), "", false); err == nil {
 					committed.Add(1)
 				}
 			}
@@ -618,14 +641,13 @@ func TestRemotePoisonTrialFailsAfterAttemptCap(t *testing.T) {
 			t.Fatalf("lease still being reissued after %d evictions", i)
 		}
 		w := register(t, r, fmt.Sprintf("victim-%d", i), 1)
-		asg, err := r.NextLease(w.WorkerID, time.Millisecond)
-		if err != nil {
+		if i == 0 {
+			leaseOne(t, r, w.WorkerID) // Run enqueues asynchronously
+		} else if asg, err := claim(r, w.WorkerID); err != nil {
 			t.Fatal(err)
-		}
-		if asg == nil {
+		} else if asg == nil {
 			break // lease no longer reissued: the cap fired
-		}
-		if asg.Attempt != i+1 {
+		} else if asg.Attempt != i+1 {
 			t.Fatalf("eviction %d: attempt %d, want %d", i, asg.Attempt, i+1)
 		}
 		clock.Advance(time.Second)
@@ -638,8 +660,8 @@ func TestRemotePoisonTrialFailsAfterAttemptCap(t *testing.T) {
 }
 
 // TestRemoteStaleEpochReportIgnored pins the out-of-order guard: a
-// network-delayed report for an older epoch (its retry was already
-// processed) must not reach the observer again.
+// report for an older epoch than the last one delivered must not reach
+// the observer again.
 func TestRemoteStaleEpochReportIgnored(t *testing.T) {
 	r := newTestRemote(t, newTestClock())
 	var observed []int
@@ -652,17 +674,17 @@ func TestRemoteStaleEpochReportIgnored(t *testing.T) {
 	w := register(t, r, "w1", 1)
 	asg := leaseOne(t, r, w.WorkerID)
 	for _, ep := range []int{1, 2} {
-		if _, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: ep})}); err != nil {
+		if _, err := r.reportEpoch(w.WorkerID, []byte(asg.LeaseID), 1, trainer.EpochStats{Epoch: ep}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The delayed straggler for epoch 1 arrives after epoch 2 was
+	// A straggler for epoch 1 arrives after epoch 2 was
 	// processed: dropped, empty directive, observer untouched.
-	dir, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})})
+	dir, err := r.reportEpoch(w.WorkerID, []byte(asg.LeaseID), 1, trainer.EpochStats{Epoch: 1})
 	if err != nil || dir.Revoked || dir.Sys != nil {
 		t.Fatalf("stale epoch report: dir=%+v err=%v, want empty directive", dir, err)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err != nil {
+	if err := r.complete(w.WorkerID, []byte(asg.LeaseID), 1, fakeResult(1), "", false); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -133,96 +133,74 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 	}
 }
 
-// TestWorkerSeriesCrossWireParity runs the same trial set over the JSON
-// and binary wires and requires the heartbeat-shipped fleet aggregates
-// to converge to identical values: same trials, same epochs, same
-// observation counts, same total compute seconds modulo wall-clock
-// difference (compared as counts only).
+// TestWorkerSeriesCrossWireParity runs a trial set over the stream and
+// requires the heartbeat-shipped fleet aggregates to converge to what
+// the local backend computes for the same trials: one trial-seconds
+// observation per trial and every epoch record the results carry.
 func TestWorkerSeriesCrossWireParity(t *testing.T) {
-	type agg struct {
-		trials, epochs, obs uint64
-	}
-	runWire := func(wire string) agg {
-		r, _ := startFleet(t, 2, RemoteConfig{Wire: wire})
-		trials := realTrials(smallTrainer(), 4)
-		_, errs := r.Run(context.Background(), trials, 0)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s wire trial %d: %v", wire, i, err)
-			}
+	want, werrs := NewLocal(smallTrainer()).Run(context.Background(), realTrials(smallTrainer(), 4), 2)
+	var wantEpochs uint64
+	for i, res := range want {
+		if werrs[i] != nil {
+			t.Fatalf("local trial %d: %v", i, werrs[i])
 		}
-		reg := r.MetricsRegistry()
-		deadline := time.Now().Add(5 * time.Second)
-		var a agg
-		for {
-			a = agg{
-				trials: sumCounterFamily(t, reg, "pipetune_worker_trials_total"),
-				epochs: sumCounterFamily(t, reg, "pipetune_worker_epochs_total"),
-				obs:    sumSummaryCount(t, reg, "pipetune_worker_trial_seconds"),
-			}
-			if a.trials == 4 && a.obs == 4 {
-				return a
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s wire: aggregates never converged: %+v", wire, a)
-			}
-			time.Sleep(10 * time.Millisecond)
+		wantEpochs += uint64(len(res.Epochs))
+	}
+
+	r, _ := startFleet(t, 2, RemoteConfig{})
+	if _, errs := r.Run(context.Background(), realTrials(smallTrainer(), 4), 0); errs[0] != nil || errs[1] != nil || errs[2] != nil || errs[3] != nil {
+		t.Fatalf("stream run failed: %v", errs)
+	}
+	reg := r.MetricsRegistry()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		trials := sumCounterFamily(t, reg, "pipetune_worker_trials_total")
+		epochs := sumCounterFamily(t, reg, "pipetune_worker_epochs_total")
+		obs := sumSummaryCount(t, reg, "pipetune_worker_trial_seconds")
+		if trials == 4 && obs == 4 && epochs == wantEpochs {
+			return
 		}
-	}
-	j := runWire(WireJSON)
-	b := runWire(WireBinary)
-	if j != b {
-		t.Fatalf("wire aggregates diverge: json %+v, binary %+v", j, b)
-	}
-	if j.epochs == 0 {
-		t.Fatal("epoch aggregate never shipped")
+		if time.Now().After(deadline) {
+			t.Fatalf("aggregates never converged: trials %d obs %d epochs %d, want 4/4/%d", trials, obs, epochs, wantEpochs)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestWireTrafficCounters checks that running work over each wire lands
-// rx/tx frame and byte counts under the right wire label — and only
+// TestWireTrafficCounters checks that running work over the stream lands
+// rx/tx frame and byte counts under the binary wire label — and only
 // that label.
 func TestWireTrafficCounters(t *testing.T) {
-	counts := func(reg *metrics.Registry, wire string) (frames, bytes uint64) {
-		for _, f := range reg.Snapshot().Families {
-			for _, s := range f.Samples {
-				if s.Labels["wire"] != wire {
-					continue
-				}
-				switch f.Name {
-				case "pipetune_exec_wire_frames_total":
-					frames += uint64(s.Value)
-				case "pipetune_exec_wire_bytes_total":
-					bytes += uint64(s.Value)
-				}
+	r, _ := startFleet(t, 1, RemoteConfig{})
+	trials := realTrials(smallTrainer(), 2)
+	if _, errs := r.Run(context.Background(), trials, 0); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("stream run failed: %v", errs)
+	}
+	var frames, bytes uint64
+	for _, f := range r.MetricsRegistry().Snapshot().Families {
+		if f.Name != "pipetune_exec_wire_frames_total" && f.Name != "pipetune_exec_wire_bytes_total" {
+			continue
+		}
+		for _, s := range f.Samples {
+			if s.Labels["wire"] != WireBinary {
+				t.Fatalf("%s sample labelled wire=%q, want %q", f.Name, s.Labels["wire"], WireBinary)
+			}
+			if f.Name == "pipetune_exec_wire_frames_total" {
+				frames += uint64(s.Value)
+			} else {
+				bytes += uint64(s.Value)
 			}
 		}
-		return frames, bytes
 	}
-	for _, wire := range []string{WireJSON, WireBinary} {
-		r, _ := startFleet(t, 1, RemoteConfig{Wire: wire})
-		trials := realTrials(smallTrainer(), 2)
-		if _, errs := r.Run(context.Background(), trials, 0); errs[0] != nil || errs[1] != nil {
-			t.Fatalf("%s wire run failed: %v", wire, errs)
-		}
-		frames, bytes := counts(r.MetricsRegistry(), wire)
-		if frames == 0 || bytes == 0 {
-			t.Fatalf("%s wire counted no traffic (frames=%d bytes=%d)", wire, frames, bytes)
-		}
-		other := WireBinary
-		if wire == WireBinary {
-			other = WireJSON
-		}
-		if of, ob := counts(r.MetricsRegistry(), other); of != 0 || ob != 0 {
-			t.Fatalf("%s-only fleet counted %s traffic (frames=%d bytes=%d)", wire, other, of, ob)
-		}
+	if frames == 0 || bytes == 0 {
+		t.Fatalf("stream counted no traffic (frames=%d bytes=%d)", frames, bytes)
 	}
 }
 
 // TestFleetStatusFromRegistry pins the satellite invariant that
 // FleetStatus derives its trial counters from the metrics registry.
 func TestFleetStatusFromRegistry(t *testing.T) {
-	r, _ := startFleet(t, 1, RemoteConfig{Wire: WireBinary})
+	r, _ := startFleet(t, 1, RemoteConfig{})
 	trials := realTrials(smallTrainer(), 2)
 	if _, errs := r.Run(context.Background(), trials, 0); errs[0] != nil || errs[1] != nil {
 		t.Fatalf("run failed: %v", errs)

@@ -1,9 +1,8 @@
 package exec
 
-// Daemon-side half of the binary work protocol. One POST /v1/stream per
-// worker is upgraded (HTTP 101 + connection hijack) into a persistent
-// framed stream that replaces every long-poll round trip of the JSON
-// wire:
+// Daemon-side half of the work protocol. One POST /v1/stream per worker
+// is upgraded (HTTP 101 + connection hijack) into a persistent framed
+// stream:
 //
 //   - the *granter* goroutine pushes lease batches the moment the worker
 //     has free slots and the queue has work — no poll latency, and one
@@ -19,10 +18,9 @@ package exec
 // needs no receive-window machinery — a Grant frame always fits the
 // slots it already advertised.
 //
-// Failure semantics are identical to the JSON wire, only faster: a dead
-// connection, a torn frame, or a CRC mismatch all end the session and
-// evict the worker through the same requeue path a missed-heartbeat
-// eviction takes; and when the reaper evicts a stream worker (alive but
+// A dead connection, a torn frame, or a CRC mismatch all end the session
+// and evict the worker through the same requeue path a missed-heartbeat
+// eviction takes; and when the reaper evicts a worker (alive but
 // partitioned), eviction severs the connection so the session cannot
 // linger half-dead.
 
@@ -48,17 +46,17 @@ const streamHandshakeTimeout = 10 * time.Second
 // upgrade — a worker with a bad token gets an ordinary 401.
 func (r *Remote) handleStream(w http.ResponseWriter, req *http.Request) {
 	if req.Header.Get("Upgrade") != streamUpgradeProto {
-		writeWireJSON(w, http.StatusBadRequest, wireError{Error: "exec: stream requires Upgrade: " + streamUpgradeProto})
+		writeJSON(w, http.StatusBadRequest, wireError{Error: "exec: stream requires Upgrade: " + streamUpgradeProto})
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeWireJSON(w, http.StatusInternalServerError, wireError{Error: "exec: connection cannot be hijacked"})
+		writeJSON(w, http.StatusInternalServerError, wireError{Error: "exec: connection cannot be hijacked"})
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		writeWireJSON(w, http.StatusInternalServerError, wireError{Error: fmt.Sprintf("exec: hijack: %v", err)})
+		writeJSON(w, http.StatusInternalServerError, wireError{Error: fmt.Sprintf("exec: hijack: %v", err)})
 		return
 	}
 	// The server's read/write deadlines (if any) outlive the hijack;
@@ -76,29 +74,58 @@ func (r *Remote) handleStream(w http.ResponseWriter, req *http.Request) {
 // serveStream owns one worker's stream session from handshake to
 // eviction.
 func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
+	// Join the session count under the lock Close flips closed under, so
+	// Close never waits on a count that can still grow from zero.
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		conn.Close()
+		return
+	}
+	r.sessions.Add(1)
+	r.mu.Unlock()
+	defer r.sessions.Done()
 	defer conn.Close()
+	// A refused handshake only drops the connection, and the worker
+	// reconnects every 500 ms; the log line is the operator's only clue
+	// why (typically a worker built with another codec version).
+	reject := func(cause error) {
+		r.cfg.Logf("exec: stream handshake from %s rejected: %v", conn.RemoteAddr(), cause)
+	}
 
 	// Handshake: magic, then a Hello frame, under a deadline so a stuck
 	// peer cannot park an anonymous connection forever.
 	_ = conn.SetReadDeadline(time.Now().Add(streamHandshakeTimeout))
 	var magic [len(streamMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != streamMagic {
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		reject(fmt.Errorf("reading magic: %w", err))
+		return
+	}
+	if string(magic[:]) != streamMagic {
+		reject(fmt.Errorf("bad magic %q", magic[:]))
 		return
 	}
 	var scratch []byte
 	ft, p, err := readFrame(br, &scratch)
-	if err != nil || ft != frameHello {
+	if err != nil {
+		reject(fmt.Errorf("reading hello: %w", err))
+		return
+	}
+	if ft != frameHello {
+		reject(fmt.Errorf("frame type %d, want hello", ft))
 		return
 	}
 	name, capacity, err := decodeHello(p)
 	if err != nil {
+		reject(err)
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
 	resp, err := r.Register(RegisterRequest{Name: name, Capacity: capacity})
 	if err != nil {
-		return // closed: the dropped conn tells the worker to back off
+		reject(fmt.Errorf("register: %w", err)) // closed: the dropped conn tells the worker to back off
+		return
 	}
 	workerID := resp.WorkerID
 	if !r.bindStream(workerID, func() { conn.Close() }) {
@@ -114,7 +141,11 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 		return
 	}
 
-	go r.grantLoop(fw, workerID)
+	granterDone := make(chan struct{})
+	go func() {
+		defer close(granterDone)
+		r.grantLoop(fw, workerID)
+	}()
 
 	why := "stream closed"
 	for {
@@ -137,6 +168,9 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 	// concerned: evict it so its leases requeue NOW (the stream is a
 	// faster liveness signal than waiting out missed heartbeats).
 	r.evictWorker(workerID, why)
+	// Eviction severed the connection and woke the granter, so this wait
+	// is short; it keeps the granter inside the session's lifetime.
+	<-granterDone
 }
 
 // dispatchFrame handles one worker frame; a returned error ends the
@@ -164,7 +198,7 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 		if err != nil {
 			return fmt.Errorf("corrupt epoch frame: %v", err)
 		}
-		dir, err := r.streamReportEpoch(workerID, leaseID, attempt, stats)
+		dir, err := r.reportEpoch(workerID, leaseID, attempt, stats)
 		if err != nil {
 			return fmt.Errorf("epoch report rejected: %v", err)
 		}
@@ -192,10 +226,10 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 		code := ackCommitted
 		if !known {
 			// The lease is already terminal and forgotten — a duplicate
-			// or post-cancellation commit. Same outcome as the JSON 409.
+			// or post-cancellation commit.
 			code = ackSuperseded
 		} else {
-			switch err := r.streamComplete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
+			switch err := r.complete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
 			case errors.Is(err, ErrLeaseRevoked):
 				code = ackSuperseded
 			case errors.Is(err, ErrUnknownWorker):
@@ -228,7 +262,6 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 // under the lock — trial fields are immutable while leased — written
 // outside it).
 func (r *Remote) grantLoop(fw *frameWriter, workerID string) {
-	var claim []*lease // reused claim scratch: zero steady-state allocs
 	drainSent := false
 	r.mu.Lock()
 	for {
@@ -253,28 +286,13 @@ func (r *Remote) grantLoop(fw *frameWriter, workerID string) {
 			r.mu.Lock()
 			continue
 		}
-		n := w.capacity - len(w.inflight)
-		if len(r.pending) == 0 || n <= 0 {
+		claim := r.claimLocked(w, w.capacity)
+		if len(claim) == 0 {
 			r.cond.Wait()
 			continue
 		}
-		if n > len(r.pending) {
-			n = len(r.pending)
-		}
-		claim = claim[:0]
-		for _, l := range r.pending[:n] {
-			l.state = leaseLeased
-			l.worker = w.id
-			w.inflight[l.id] = l
-			claim = append(claim, l)
-		}
-		r.pending = r.pending[n:]
-		r.met.leaseGrants.Add(uint64(len(claim)))
 		wb := getWirebuf()
-		wb.uvarint(uint64(len(claim)))
-		for _, l := range claim {
-			appendAssignment(wb, l.id, l.attempt, &l.trial)
-		}
+		encodeGrant(wb, claim)
 		r.mu.Unlock()
 		err := fw.send(frameGrant, wb.b)
 		putWirebuf(wb)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,13 +17,12 @@ import (
 	"pipetune/internal/workload"
 )
 
-// TestStreamFleetBitIdentical is the binary-wire twin of the JSON
-// agent's bit-identity test: real trial bodies through the hijacked
-// stream — handshake, batched grants, epoch frames, directive relays,
-// delta-encoded commits — must reproduce the local backend exactly,
-// including a mid-trial system switch by the observer.
+// TestStreamFleetBitIdentical runs real trial bodies through the
+// hijacked stream — handshake, batched grants, epoch frames, directive
+// relays, delta-encoded commits — and requires the local backend's
+// results exactly, including a mid-trial system switch by the observer.
 func TestStreamFleetBitIdentical(t *testing.T) {
-	r, _ := startFleet(t, 2, RemoteConfig{Wire: WireBinary})
+	r, _ := startFleet(t, 2, RemoteConfig{})
 
 	tr := smallTrainer()
 	trials := realTrials(tr, 4)
@@ -78,10 +79,10 @@ func TestStreamFleetBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCrossWireCatalogParity sweeps the full Table 3 catalog across both
-// wires: for every workload, the JSON fleet, the binary fleet and the
-// local backend must produce byte-identical results (compared through
-// the same JSON serialisation JobResults use).
+// TestCrossWireCatalogParity sweeps the full Table 3 catalog across the
+// wire: for every workload, the binary-stream fleet and the local backend
+// must produce byte-identical results (compared through the same JSON
+// serialisation JobResults use).
 func TestCrossWireCatalogParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog parity runs full trial compute; CI races it in the execution-plane step")
@@ -122,15 +123,10 @@ func TestCrossWireCatalogParity(t *testing.T) {
 	}
 
 	want := run(NewLocal(smallTrainer()))
-	jsonFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireJSON})
-	binFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireBinary})
-	gotJSON := run(jsonFleet)
+	binFleet, _ := startFleet(t, 2, RemoteConfig{})
 	gotBin := run(binFleet)
 	cat := workload.Catalog()
 	for i := range want {
-		if gotJSON[i] != want[i] {
-			t.Errorf("%s: json wire diverges from local", cat[i].Name())
-		}
 		if gotBin[i] != want[i] {
 			t.Errorf("%s: binary wire diverges from local", cat[i].Name())
 		}
@@ -141,19 +137,19 @@ func TestCrossWireCatalogParity(t *testing.T) {
 // plain HTTP before any hijack, so a bad token is terminal for the agent
 // and a good one streams normally.
 func TestStreamTokenAuth(t *testing.T) {
-	r := NewRemote(RemoteConfig{Token: "s3cret", Wire: WireBinary, HeartbeatInterval: 50 * time.Millisecond})
+	r := NewRemote(RemoteConfig{Token: "s3cret", HeartbeatInterval: 50 * time.Millisecond})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
 
-	bad := NewAgent(AgentConfig{Server: srv.URL, Token: "wrong", Wire: WireBinary})
+	bad := NewAgent(AgentConfig{Server: srv.URL, Token: "wrong"})
 	if err := bad.Run(context.Background()); !errors.Is(err, ErrBadToken) {
 		t.Fatalf("wrong token: %v, want ErrBadToken", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	good := NewAgent(AgentConfig{Server: srv.URL, Token: "s3cret", Wire: WireBinary})
+	good := NewAgent(AgentConfig{Server: srv.URL, Token: "s3cret"})
 	done := make(chan error, 1)
 	go func() { done <- good.Run(ctx) }()
 	deadline := time.Now().Add(2 * time.Second)
@@ -169,6 +165,57 @@ func TestStreamTokenAuth(t *testing.T) {
 	}
 }
 
+// TestStreamRejectsSkewedCodecVersion pins the handshake's refusal
+// path: a worker speaking an older codec version is dropped before it
+// registers, and the daemon logs why — without the log line, the
+// worker's reconnect loop would fail silently forever.
+func TestStreamRejectsSkewedCodecVersion(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+
+	conn, br, err := NewAgent(AgentConfig{Server: srv.URL}).dialStream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	hello := encodeFrameBytes(t, frameHello, func(w *wirebuf) {
+		w.u8(4) // the layout before Welcome dropped the long-poll bound
+		w.str("old-worker")
+		w.uvarint(1)
+	})
+	if _, err := conn.Write(append([]byte(streamMagic), hello...)); err != nil {
+		t.Fatal(err)
+	}
+	var scratch []byte
+	if ft, _, err := readFrame(br, &scratch); err == nil {
+		t.Fatalf("daemon answered a v4 hello with frame type %d", ft)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	logged := false
+	for _, line := range logs {
+		if strings.Contains(line, "handshake") && strings.Contains(line, "codec version 4") {
+			logged = true
+		}
+	}
+	if !logged {
+		t.Fatalf("rejection not logged with the version; log: %q", logs)
+	}
+	if n := len(r.Fleet().Workers); n != 0 {
+		t.Fatalf("%d worker(s) registered from a v4 hello, want 0", n)
+	}
+}
+
 // TestCorruptFrameEvictsAndRequeues is the failure-path half of the
 // codec contract (and what FuzzFrameDecode's invariant protects): a
 // worker that sends a torn frame is evicted through the standard
@@ -177,7 +224,7 @@ func TestStreamTokenAuth(t *testing.T) {
 func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 	// A huge missed-heartbeat budget: the corrupt frame, not the reaper,
 	// must be what evicts the misbehaving worker.
-	r := NewRemote(RemoteConfig{Wire: WireBinary, HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
+	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
@@ -251,7 +298,7 @@ func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 	// ...and a healthy worker picks it up and completes the job.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	healthy := NewAgent(AgentConfig{Server: srv.URL, Name: "healthy", Capacity: 1, Wire: WireBinary})
+	healthy := NewAgent(AgentConfig{Server: srv.URL, Name: "healthy", Capacity: 1})
 	go func() { _ = healthy.Run(ctx) }()
 	select {
 	case out := <-ran:
@@ -271,17 +318,16 @@ func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 }
 
 // TestStreamDrainFailsPendingCommitsInflight pins drain semantics on the
-// binary wire: at drain start, pending leases fail instantly with
-// ErrDraining while the in-flight one gets its drain window to commit —
-// identical to the JSON wire's contract.
+// stream: at drain start, pending leases fail instantly with ErrDraining
+// while the in-flight one gets its drain window to commit.
 func TestStreamDrainFailsPendingCommitsInflight(t *testing.T) {
-	r := NewRemote(RemoteConfig{Wire: WireBinary, HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
+	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	agent := NewAgent(AgentConfig{Server: srv.URL, Capacity: 1, Wire: WireBinary})
+	agent := NewAgent(AgentConfig{Server: srv.URL, Capacity: 1})
 	go func() { _ = agent.Run(ctx) }()
 
 	tr := smallTrainer()

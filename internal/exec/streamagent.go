@@ -1,21 +1,18 @@
 package exec
 
-// Worker-side half of the binary work protocol. One stream session
-// replaces the JSON agent's register/heartbeat/long-poll/commit HTTP
-// round trips: the agent dials the daemon, upgrades POST /v1/stream,
-// and then
+// Worker-side half of the work protocol. The agent dials the daemon,
+// upgrades POST /v1/stream, handshakes (Hello out, Welcome back) and
+// then runs
 //
-//   - a *reader* goroutine dispatches daemon frames — Grants feed a work
-//     channel, Directives and Acks are routed to the slot waiting on
+//   - a *reader* goroutine that dispatches daemon frames — Grants feed a
+//     work channel, Directives and Acks are routed to the slot waiting on
 //     them;
-//   - `capacity` *slot* goroutines compute trial bodies (sharing
-//     runBody and the trainer cache with the JSON agent, so trial
-//     results are produced by literally the same code on both wires);
-//   - a *heartbeat* goroutine ticks liveness frames.
+//   - `capacity` *slot* goroutines that compute trial bodies;
+//   - a *heartbeat* goroutine that ticks liveness frames.
 //
-// A torn connection ends the session exactly like a JSON 404: the agent
-// re-registers by reconnecting, and the daemon has already requeued
-// whatever this registration held.
+// A torn connection ends the session: Agent.Run reconnects under a fresh
+// registration, and the daemon has already requeued whatever the old
+// one held.
 
 import (
 	"bufio"
@@ -34,32 +31,8 @@ import (
 )
 
 // streamRPCTimeout bounds how long a slot waits for the daemon's answer
-// to an epoch report or a commit before treating the lease as lost —
-// the stream analogue of the JSON paths' per-request timeouts.
+// to an epoch report or a commit before treating the lease as lost.
 const streamRPCTimeout = 15 * time.Second
-
-// runBinary serves the binary wire until ctx ends or the daemon rejects
-// the token; transport failures and evictions reconnect, like the JSON
-// loop's re-registration.
-func (a *Agent) runBinary(ctx context.Context) error {
-	for {
-		err := a.streamSession(ctx)
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if errors.Is(err, ErrBadToken) {
-			return err
-		}
-		if err != nil {
-			a.cfg.Logf("worker: stream session ended: %v (reconnecting)", err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(500 * time.Millisecond):
-		}
-	}
-}
 
 // streamWaiter parks one slot goroutine on the daemon's reply to a
 // specific (lease, attempt) — and, for directives, a specific epoch, so
@@ -353,9 +326,7 @@ func (s *streamSession) park(leaseID string, w *streamWaiter) func() {
 	}
 }
 
-// runAssignment computes one leased trial body and commits the result —
-// the stream twin of the JSON agent's runAssignment, sharing runBody
-// and the trainer cache so the computed bytes cannot differ.
+// runAssignment computes one leased trial body and commits the result.
 func (s *streamSession) runAssignment(ctx context.Context, asg Assignment) {
 	tr := s.a.trainerFor(asg.Trainer)
 	revoked := false
@@ -367,10 +338,10 @@ func (s *streamSession) runAssignment(ctx context.Context, asg Assignment) {
 			}
 			dir, ok := s.reportEpoch(asg, st)
 			if !ok || dir.Revoked {
-				// Lease void or daemon unreachable: finish the remaining
-				// epochs on the current configuration and let the commit
-				// be rejected (same contract as the JSON wire — the
-				// trainer cannot be interrupted mid-trial).
+				// Lease void or daemon unreachable: the trainer cannot be
+				// interrupted mid-trial, so finish the remaining epochs
+				// on the current configuration and commit the trial as
+				// abandoned. The authoritative attempt runs elsewhere.
 				revoked = true
 				return nil
 			}
@@ -387,6 +358,8 @@ func (s *streamSession) runAssignment(ctx context.Context, asg Assignment) {
 	status, errMsg := completeOK, ""
 	switch {
 	case revoked:
+		// The daemon must learn the trial needs another worker now: a
+		// still-heartbeating worker would otherwise hold the lease.
 		s.a.cfg.Logf("worker: lease %s attempt %d abandoned mid-trial", asg.LeaseID, asg.Attempt)
 		status, res = completeAbandoned, nil
 	case err != nil:
@@ -424,8 +397,7 @@ func (s *streamSession) reportEpoch(asg Assignment, st trainer.EpochStats) (Epoc
 
 // commit sends the at-most-once result commit and waits for its Ack. An
 // unacknowledged commit kills the session, so the registration stops
-// heartbeating and eviction requeues the lease — the stream analogue of
-// the JSON agent's endSession fallback.
+// heartbeating and eviction requeues the lease.
 func (s *streamSession) commit(ctx context.Context, asg Assignment, status byte, errMsg string, res *trainer.Result) {
 	w := &streamWaiter{attempt: asg.Attempt, ack: make(chan byte, 1)}
 	unpark := s.park(asg.LeaseID, w)

@@ -6,15 +6,14 @@ import (
 	"pipetune/internal/cluster"
 	"pipetune/internal/dataset"
 	"pipetune/internal/params"
-	"pipetune/internal/perf"
 	"pipetune/internal/trainer"
 	"pipetune/internal/workload"
 )
 
-// This file defines the worker wire protocol: the JSON bodies exchanged
-// between the daemon's Remote backend and pipetune-worker processes.
-// Package api re-exports these types for external consumers; they live
-// here so the protocol owner needs no import of the api layer.
+// This file defines the messages of the worker protocol, exchanged
+// between the daemon's Remote backend and pipetune-worker processes over
+// the binary stream (codec.go encodes them), and the fleet status that
+// package api re-exports for operators.
 
 // TrainerConfig ships the submitting process's trainer-substrate knobs so
 // a worker reproduces trial bodies bit-identically: the corpus sizing,
@@ -76,8 +75,7 @@ func (tc TrainerConfig) NewRunner() *trainer.Runner {
 	return tr
 }
 
-// RegisterRequest is the body of POST /v1/workers: a worker joining the
-// fleet.
+// RegisterRequest is a worker joining the fleet (the Hello frame).
 type RegisterRequest struct {
 	// Name is the worker's self-chosen label (hostname by default);
 	// surfaced in fleet status, not required to be unique.
@@ -86,7 +84,8 @@ type RegisterRequest struct {
 	Capacity int `json:"capacity"`
 }
 
-// RegisterResponse assigns the worker its identity and cadence.
+// RegisterResponse assigns the worker its identity and cadence (the
+// Welcome frame).
 type RegisterResponse struct {
 	// WorkerID is the fleet-unique id all further calls use.
 	WorkerID string `json:"workerId"`
@@ -94,9 +93,6 @@ type RegisterResponse struct {
 	// silent for MissedHeartbeats of these intervals is evicted and its
 	// leases requeued.
 	HeartbeatSeconds float64 `json:"heartbeatSeconds"`
-	// LeaseWaitSeconds bounds the server-side long poll of a lease
-	// request; a worker should re-poll when a request returns no work.
-	LeaseWaitSeconds float64 `json:"leaseWaitSeconds"`
 }
 
 // Assignment is one leased trial: everything a worker needs to compute
@@ -131,33 +127,6 @@ type Assignment struct {
 	Class string `json:"class,omitempty"`
 }
 
-// EpochWire is one epoch-boundary observation on the wire. The embedded
-// stats marshal with their library tags; the PMU profile — excluded from
-// the library's JSON — is carried explicitly because the daemon-side
-// observer (PipeTune's controller) clusters on it.
-type EpochWire struct {
-	trainer.EpochStats
-	Profile []float64 `json:"profile,omitempty"`
-}
-
-// WireEpoch packs epoch stats for transport.
-func WireEpoch(s trainer.EpochStats) EpochWire {
-	return EpochWire{EpochStats: s, Profile: s.Profile}
-}
-
-// Stats unpacks the observation, reattaching the profile.
-func (e EpochWire) Stats() trainer.EpochStats {
-	s := e.EpochStats
-	s.Profile = perf.Profile(e.Profile)
-	return s
-}
-
-// EpochReport is the body of POST .../leases/{lease}/epoch.
-type EpochReport struct {
-	Attempt int       `json:"attempt"`
-	Epoch   EpochWire `json:"epoch"`
-}
-
 // EpochDirective is the daemon's reply to an epoch report.
 type EpochDirective struct {
 	// Sys, when non-nil, switches the trial's system configuration from
@@ -167,41 +136,6 @@ type EpochDirective struct {
 	// Revoked tells the worker its lease is void (evicted and requeued,
 	// or the job was cancelled): abandon the trial, do not report again.
 	Revoked bool `json:"revoked,omitempty"`
-}
-
-// CompleteRequest is the body of POST .../leases/{lease}/complete: the
-// at-most-once result commit.
-type CompleteRequest struct {
-	Attempt int `json:"attempt"`
-	// Result is the finished trial body; nil when Error or Abandoned is
-	// set.
-	Result *trainer.Result `json:"result,omitempty"`
-	// Profiles carries the per-epoch PMU profiles in Result.Epochs order
-	// (the library serialisation strips them), so a committed result is
-	// bit-identical to one computed in-process.
-	Profiles [][]float64 `json:"profiles,omitempty"`
-	// Error reports a worker-side trial failure: the trial itself is
-	// broken and the job should fail.
-	Error string `json:"error,omitempty"`
-	// Abandoned reports that this worker cannot finish the trial through
-	// no fault of the trial (its epoch stream tore): the daemon requeues
-	// the lease for another worker instead of waiting for this worker's
-	// eviction.
-	Abandoned bool `json:"abandoned,omitempty"`
-}
-
-// result reassembles the committed trainer result, reattaching profiles.
-func (cr CompleteRequest) result() *trainer.Result {
-	res := cr.Result
-	if res == nil {
-		return nil
-	}
-	for i := range res.Epochs {
-		if i < len(cr.Profiles) {
-			res.Epochs[i].Profile = perf.Profile(cr.Profiles[i])
-		}
-	}
-	return res
 }
 
 // WorkerStatus is one worker's row in the fleet status.
@@ -222,8 +156,7 @@ type WorkerStatus struct {
 type FleetStatus struct {
 	// Backend names the active execution backend ("local", "remote").
 	Backend string `json:"backend"`
-	// Wire names the mounted work protocol(s): "json", "binary", or
-	// "json+binary" when the daemon accepts both.
+	// Wire names the work protocol: always "binary".
 	Wire string `json:"wire,omitempty"`
 	// Draining is true once shutdown stopped lease issuance.
 	Draining bool `json:"draining,omitempty"`
