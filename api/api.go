@@ -201,10 +201,9 @@ type GroundTruthStats struct {
 	// means no refits are pending behind the store's watermark.
 	Rev      uint64 `json:"rev"`
 	ModelRev uint64 `json:"modelRev"`
-	// Shards is the number of profile-cluster partitions (1 for the
-	// monolithic store).
+	// Shards is the number of profile-cluster partitions.
 	Shards int `json:"shards"`
-	// Store names the backing implementation ("sharded", "monolith").
+	// Store names the backing implementation ("sharded").
 	Store string `json:"store,omitempty"`
 	// WALRecords is the depth of the un-compacted write-ahead log (0 when
 	// persistence is disabled or freshly compacted).

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	pipetuned [-addr :8080] [-workers 2] [-seed 1] [-gt groundtruth.json]
-//	          [-gt-store sharded] [-gt-compact-every 256]
-//	          [-gt-snapshot-interval 0] [-queue 64] [-bootstrap]
+//	          [-gt-compact-every 256] [-gt-snapshot-interval 0]
+//	          [-queue 64] [-bootstrap]
 //	          [-scheduler fifo] [-job-policy fifo]
 //	          [-tenant-weight name=w ...]
 //	          [-exec-backend local] [-worker-token secret]
@@ -90,7 +90,6 @@ import (
 	"pipetune"
 	"pipetune/internal/cluster"
 	"pipetune/internal/exec"
-	"pipetune/internal/gt"
 	"pipetune/internal/httpserve"
 	"pipetune/internal/metrics"
 	"pipetune/internal/service"
@@ -193,7 +192,6 @@ func run() error {
 		queueFlag     = flag.Int("queue", 64, "max queued jobs")
 		seedFlag      = flag.Uint64("seed", 1, "master seed for jobs that do not set one")
 		gtFlag        = flag.String("gt", "groundtruth.json", "ground-truth snapshot path (empty disables persistence; the WAL lives alongside at <path>.wal)")
-		gtStoreFlag   = flag.String("gt-store", "sharded", "ground-truth store: sharded (lock-free lookups, per-family shards) or monolith (the classic single-model database)")
 		gtCompactFlag = flag.Int("gt-compact-every", 256, "compact the ground-truth WAL into a snapshot every N records")
 		gtSnapFlag    = flag.Duration("gt-snapshot-interval", 0, "also compact on this interval (0 disables the ticker)")
 		schedFlag     = flag.String("scheduler", pipetune.SchedFIFO, "trial placement policy: fifo, sjf, backfill, cheapest or perf-per-dollar")
@@ -220,15 +218,6 @@ func run() error {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "pipetuned: ", log.LstdFlags)
-	var store pipetune.GroundTruthStore
-	switch *gtStoreFlag {
-	case "sharded":
-		store = gt.NewSharded(gt.DefaultConfig(), *seedFlag)
-	case "monolith":
-		store = gt.NewMonolith(gt.DefaultConfig(), *seedFlag)
-	default:
-		return fmt.Errorf("unknown -gt-store %q (want sharded or monolith)", *gtStoreFlag)
-	}
 	// One registry for every layer: the service, the admission queue, the
 	// ground-truth store and the execution plane all publish into it, so
 	// a single /metrics scrape sees the whole daemon.
@@ -259,7 +248,6 @@ func run() error {
 	opts := []pipetune.Option{
 		pipetune.WithSeed(*seedFlag),
 		pipetune.WithScheduler(policy),
-		pipetune.WithGroundTruthStore(store),
 	}
 	if *classesFlag != "" {
 		classes, err := parseNodeClasses(*classesFlag, *spotFlag, *revRateFlag)
@@ -339,7 +327,7 @@ func run() error {
 	// open, so in-flight trials still commit during the execution-plane
 	// drain.
 	err = httpserve.ListenAndServe(context.Background(), srv, *drainFlag, func(addr net.Addr) {
-		logger.Printf("serving the tuning API on %s (%d workers, job-policy=%s, exec-backend=%s, gt=%s store=%s)", addr, *workersFlag, *jobPolicyFlag, *execFlag, orNone(*gtFlag), *gtStoreFlag)
+		logger.Printf("serving the tuning API on %s (%d workers, job-policy=%s, exec-backend=%s, gt=%s)", addr, *workersFlag, *jobPolicyFlag, *execFlag, orNone(*gtFlag))
 		logger.Printf("try  curl -s -X POST localhost%s/v1/jobs -d '{\"workload\":\"lenet/mnist\"}'", httpserve.Port(addr))
 		if remote != nil {
 			logger.Printf("awaiting workers: pipetune-worker -server http://localhost%s", httpserve.Port(addr))

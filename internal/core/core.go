@@ -8,7 +8,7 @@
 //	                         invokes the Controller at each epoch boundary
 //	                         (the asynchronous tuneSystem call).
 //	getProfile(job)       -> the trial's first-epoch 58-event PMU profile.
-//	getSimilarity(profile)-> GroundTruth.Lookup: k-means over historical
+//	getSimilarity(profile)-> gt.Store.Lookup: k-means over historical
 //	                         profiles; a hit within the inertia-derived
 //	                         radius returns that cluster's known-best
 //	                         system configuration (§5.4, §5.6).
@@ -332,10 +332,9 @@ type PipeTune struct {
 	Policy sched.Policy
 }
 
-// New creates a PipeTune middleware with an empty ground-truth database —
-// the sharded store, the concurrency-safe default for the service's shared
-// cross-job database (internal/gt documents the design; NewGroundTruth
-// still builds the classic monolith for callers that want it).
+// New creates a PipeTune middleware with an empty ground-truth database:
+// the sharded store, safe for the service's shared cross-job database
+// (internal/gt documents the design).
 func New(runner *tune.Runner, seed uint64) *PipeTune {
 	return &PipeTune{
 		Runner:   runner,

@@ -5,6 +5,7 @@ import (
 
 	"pipetune/internal/cluster"
 	"pipetune/internal/dataset"
+	"pipetune/internal/gt"
 	"pipetune/internal/params"
 	"pipetune/internal/perf"
 	"pipetune/internal/sched"
@@ -54,8 +55,8 @@ func sampleProfile(t *testing.T, w workload.Workload) perf.Profile {
 }
 
 func TestControllerProbesThenSettles(t *testing.T) {
-	gt := NewGroundTruth(DefaultGroundTruthConfig(), 1)
-	ctrl := NewController(gt)
+	store := gt.NewSharded(gt.DefaultConfig(), 1)
+	ctrl := NewController(store)
 	ctrl.Probes = []params.SysConfig{
 		{Cores: 4, MemoryGB: 8},
 		{Cores: 16, MemoryGB: 8},
@@ -86,14 +87,14 @@ func TestControllerProbesThenSettles(t *testing.T) {
 
 	// Finishing feeds the ground truth.
 	ctrl.Finish(1, nil)
-	if gt.Len() != 1 {
-		t.Fatalf("ground truth has %d entries after finish, want 1", gt.Len())
+	if store.Len() != 1 {
+		t.Fatalf("ground truth has %d entries after finish, want 1", store.Len())
 	}
 }
 
 func TestControllerMinimizeEnergy(t *testing.T) {
-	gt := NewGroundTruth(DefaultGroundTruthConfig(), 1)
-	ctrl := NewController(gt)
+	store := gt.NewSharded(gt.DefaultConfig(), 1)
+	ctrl := NewController(store)
 	ctrl.Optimize = MinimizeEnergy
 	ctrl.Probes = []params.SysConfig{{Cores: 4, MemoryGB: 8}}
 	obs := ctrl.ObserverFor(1)
@@ -109,13 +110,13 @@ func TestControllerMinimizeEnergy(t *testing.T) {
 }
 
 func TestControllerGroundTruthHitSkipsProbing(t *testing.T) {
-	gt := NewGroundTruth(DefaultGroundTruthConfig(), 1)
+	store := gt.NewSharded(gt.DefaultConfig(), 1)
 	known := params.SysConfig{Cores: 4, MemoryGB: 32}
 	for i := 0; i < 4; i++ {
-		_ = gt.Add(Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: known, Metric: 50})
-		_ = gt.Add(Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 16, MemoryGB: 8}, Metric: 70})
+		_ = store.Add(gt.Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: known, Metric: 50})
+		_ = store.Add(gt.Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 16, MemoryGB: 8}, Metric: 70})
 	}
-	ctrl := NewController(gt)
+	ctrl := NewController(store)
 	obs := ctrl.ObserverFor(9)
 	profile := sampleProfile(t, lenetMNIST)
 	next := obs.OnEpochEnd(0, lenetMNIST, params.DefaultHyper(),
@@ -127,20 +128,20 @@ func TestControllerGroundTruthHitSkipsProbing(t *testing.T) {
 	if nxt := obs.OnEpochEnd(0, lenetMNIST, params.DefaultHyper(), makeEpoch(2, known, 50, 500, profile)); nxt != nil {
 		t.Fatalf("config changed after ground-truth application: %v", nxt)
 	}
-	hits, _ := gt.Stats()
+	hits, _ := store.Stats()
 	if hits != 1 {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 }
 
 func TestControllerFallsBackWhenGroundTruthRegresses(t *testing.T) {
-	gt := NewGroundTruth(DefaultGroundTruthConfig(), 1)
+	store := gt.NewSharded(gt.DefaultConfig(), 1)
 	badConfig := params.SysConfig{Cores: 16, MemoryGB: 4}
 	for i := 0; i < 4; i++ {
-		_ = gt.Add(Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: badConfig, Metric: 10})
-		_ = gt.Add(Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 4, MemoryGB: 8}, Metric: 10})
+		_ = store.Add(gt.Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: badConfig, Metric: 10})
+		_ = store.Add(gt.Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 4, MemoryGB: 8}, Metric: 10})
 	}
-	ctrl := NewController(gt)
+	ctrl := NewController(store)
 	ctrl.Probes = []params.SysConfig{{Cores: 4, MemoryGB: 8}}
 	obs := ctrl.ObserverFor(1)
 	profile := sampleProfile(t, lenetMNIST)
@@ -165,13 +166,13 @@ func TestControllerFallsBackWhenGroundTruthRegresses(t *testing.T) {
 }
 
 func TestControllerKeepsGroundTruthConfigWhenItHolds(t *testing.T) {
-	gt := NewGroundTruth(DefaultGroundTruthConfig(), 1)
+	store := gt.NewSharded(gt.DefaultConfig(), 1)
 	good := params.SysConfig{Cores: 4, MemoryGB: 8}
 	for i := 0; i < 4; i++ {
-		_ = gt.Add(Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: good, Metric: 10})
-		_ = gt.Add(Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 16, MemoryGB: 32}, Metric: 10})
+		_ = store.Add(gt.Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: good, Metric: 10})
+		_ = store.Add(gt.Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 16, MemoryGB: 32}, Metric: 10})
 	}
-	ctrl := NewController(gt)
+	ctrl := NewController(store)
 	obs := ctrl.ObserverFor(1)
 	profile := sampleProfile(t, lenetMNIST)
 	obs.OnEpochEnd(0, lenetMNIST, params.DefaultHyper(), makeEpoch(1, params.DefaultSysConfig(), 100, 1000, profile))
@@ -185,8 +186,8 @@ func TestControllerKeepsGroundTruthConfigWhenItHolds(t *testing.T) {
 }
 
 func TestControllerMaxProbeEpochs(t *testing.T) {
-	gt := NewGroundTruth(DefaultGroundTruthConfig(), 1)
-	ctrl := NewController(gt)
+	store := gt.NewSharded(gt.DefaultConfig(), 1)
+	ctrl := NewController(store)
 	ctrl.MaxProbeEpochs = 1
 	profile := sampleProfile(t, lenetMNIST)
 	obs := ctrl.ObserverFor(1)
@@ -339,9 +340,9 @@ func TestPipeTunePolicyForwarded(t *testing.T) {
 // (§5.4's pluggability) under a full PipeTune run.
 func TestPipeTuneWithPluggableSimilarity(t *testing.T) {
 	pt := New(testTuneRunner(), 7)
-	cfg := DefaultGroundTruthConfig()
-	cfg.Similarity = NewNearestNeighborSimilarity(3.0)
-	pt.GT = NewGroundTruth(cfg, 7)
+	cfg := gt.DefaultConfig()
+	cfg.NewSimilarity = func(uint64) gt.Similarity { return gt.NewNearestNeighborSimilarity(3.0) }
+	pt.GT = gt.NewSharded(cfg, 7)
 	if err := pt.Bootstrap(workload.OfType(workload.TypeI), 99); err != nil {
 		t.Fatal(err)
 	}

@@ -230,24 +230,6 @@ func shuffle(r *xrand.Source, s []Sample) {
 	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 }
 
-// Batches splits indices [0,n) into contiguous minibatches of size b after
-// applying the permutation perm (pass nil for identity order). The final
-// batch may be short. Prefer EachBatch on hot paths: Batches materialises
-// the batch list, allocating its [][]int header (plus an identity index
-// slice when perm is nil) on every call.
-func Batches(n, b int, perm []int) [][]int {
-	if b <= 0 || n <= 0 {
-		return nil
-	}
-	idx := identity(n, perm)
-	out := make([][]int, 0, (n+b-1)/b)
-	EachBatch(n, b, idx, func(batch []int) error {
-		out = append(out, batch)
-		return nil
-	})
-	return out
-}
-
 // EachBatch invokes fn on each contiguous minibatch of perm — indices
 // [0,n) permuted by perm (nil for identity order), split into batches of
 // size b with the final batch possibly short. It is the canonical epoch

@@ -184,10 +184,21 @@ func TestClassesAreLinearlySeparableEnough(t *testing.T) {
 	}
 }
 
+// collectBatches gathers EachBatch's minibatches (copied, since EachBatch
+// hands out subslices fn must not retain).
+func collectBatches(n, b int, perm []int) [][]int {
+	var out [][]int
+	EachBatch(n, b, perm, func(batch []int) error {
+		out = append(out, append([]int(nil), batch...))
+		return nil
+	})
+	return out
+}
+
 func TestBatches(t *testing.T) {
-	b := Batches(10, 4, nil)
+	b := collectBatches(10, 4, nil)
 	if len(b) != 3 || len(b[0]) != 4 || len(b[2]) != 2 {
-		t.Fatalf("Batches(10,4) = %v", b)
+		t.Fatalf("EachBatch(10,4) = %v", b)
 	}
 	seen := make(map[int]bool)
 	for _, batch := range b {
@@ -201,15 +212,15 @@ func TestBatches(t *testing.T) {
 	if len(seen) != 10 {
 		t.Fatalf("covered %d indices, want 10", len(seen))
 	}
-	if Batches(0, 4, nil) != nil || Batches(4, 0, nil) != nil {
-		t.Fatal("degenerate batches should be nil")
+	if collectBatches(0, 4, nil) != nil || collectBatches(4, 0, nil) != nil {
+		t.Fatal("degenerate sizes should yield no batches")
 	}
 }
 
 func TestBatchesWithPermutation(t *testing.T) {
 	r := xrand.New(5)
 	perm := r.Perm(20)
-	b := Batches(20, 6, perm)
+	b := collectBatches(20, 6, perm)
 	flat := make([]int, 0, 20)
 	for _, batch := range b {
 		flat = append(flat, batch...)
@@ -226,7 +237,7 @@ func TestQuickBatchesPartition(t *testing.T) {
 	f := func(nRaw, bRaw uint8) bool {
 		n, b := int(nRaw)%200+1, int(bRaw)%32+1
 		seen := make(map[int]bool, n)
-		for _, batch := range Batches(n, b, nil) {
+		for _, batch := range collectBatches(n, b, nil) {
 			if len(batch) == 0 || len(batch) > b {
 				return false
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pipetune/internal/core"
+	"pipetune/internal/gt"
 	"pipetune/internal/params"
 	"pipetune/internal/search"
 	"pipetune/internal/tune"
@@ -45,9 +46,9 @@ func AblationNoGroundTruth(cfg Config) (*AblationGTResult, error) {
 		pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()), cfg.Seed)
 		if disableGT {
 			// A database that never accumulates enough entries never hits.
-			gtCfg := core.DefaultGroundTruthConfig()
+			gtCfg := gt.DefaultConfig()
 			gtCfg.MinEntries = 1 << 30
-			pt.GT = core.NewGroundTruth(gtCfg, cfg.Seed)
+			pt.GT = gt.NewSharded(gtCfg, cfg.Seed)
 		} else if err := pt.Bootstrap(workload.OfType(workload.TypeI, workload.TypeII), cfg.Seed+1); err != nil {
 			return AblationGTRow{}, err
 		}
@@ -188,10 +189,10 @@ func AblationThreshold(cfg Config) (*AblationThresholdResult, error) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	res := &AblationThresholdResult{}
 	for _, th := range []float64{0.1, 0.5, 1.5, 3.0} {
-		gtCfg := core.DefaultGroundTruthConfig()
+		gtCfg := gt.DefaultConfig()
 		gtCfg.Threshold = th
 		pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()), cfg.Seed)
-		pt.GT = core.NewGroundTruth(gtCfg, cfg.Seed)
+		pt.GT = gt.NewSharded(gtCfg, cfg.Seed)
 		if err := pt.Bootstrap(workload.OfType(workload.TypeI, workload.TypeII), cfg.Seed+1); err != nil {
 			return nil, err
 		}
@@ -248,9 +249,9 @@ func AblationProbeBudget(cfg Config) (*AblationProbeResult, error) {
 	for _, budget := range []int{1, 2, 4, 6} {
 		runner := tune.NewRunner(newTrainer(cfg), paperCluster())
 		pt := core.New(runner, cfg.Seed) // cold: every trial probes
-		gtCfg := core.DefaultGroundTruthConfig()
+		gtCfg := gt.DefaultConfig()
 		gtCfg.MinEntries = 1 << 30
-		pt.GT = core.NewGroundTruth(gtCfg, cfg.Seed)
+		pt.GT = gt.NewSharded(gtCfg, cfg.Seed)
 
 		ctrl := core.NewController(pt.GT)
 		ctrl.MaxProbeEpochs = budget

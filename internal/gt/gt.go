@@ -3,20 +3,15 @@
 // job already ran (§7.4) — carved out of internal/core and rebuilt for the
 // tuning service's concurrency profile.
 //
-// Two Store implementations share one contract:
-//
-//   - Monolith is the original design: one mutex, eager model refit on
-//     every Add, whole-database JSON snapshots. It is kept as the
-//     conservative reference implementation (and the benchmark baseline).
-//   - Sharded partitions the database by profile cluster: entries route to
-//     the shard whose centroid is nearest (a shard splits in two by
-//     2-means once it outgrows Config.SplitSize), each shard maintains an
-//     independently fitted similarity model behind an atomic copy-on-write
-//     snapshot, and model refits are deferred behind a revision watermark —
-//     Add is O(1) append, and the first Lookup that observes a stale
-//     watermark pays the refit. Lookups on the epoch hot path take no
-//     exclusive lock, so concurrent jobs on different workload families
-//     never contend.
+// Sharded is the store: it partitions the database by profile cluster —
+// entries route to the shard whose centroid is nearest (a shard splits in
+// two by 2-means once it outgrows Config.SplitSize) — and each shard
+// maintains an independently fitted similarity model behind an atomic
+// copy-on-write snapshot, with model refits deferred behind a revision
+// watermark: Add is O(1) append, and the first Lookup that observes a
+// stale watermark pays the refit. Lookups on the epoch hot path take no
+// exclusive lock, so concurrent jobs on different workload families never
+// contend.
 //
 // Persistence is layered on top by Persistent: an append-only WAL plus a
 // periodically compacted snapshot replace the old whole-file JSON rewrites,
@@ -82,13 +77,9 @@ type Config struct {
 	// MinEntries is the history size (per shard, for the sharded store)
 	// below which every lookup misses (no reliable model yet).
 	MinEntries int
-	// Similarity overrides the technique with a fixed instance (§5.4's
-	// pluggability). Only the Monolith can use a fixed instance — the
-	// sharded store refits copy-on-write model snapshots and needs
-	// NewSimilarity instead.
-	Similarity Similarity
-	// NewSimilarity, when set, constructs a fresh similarity instance per
-	// model refit (the sharded store fits each snapshot on a new instance
+	// NewSimilarity, when set, overrides the technique (§5.4's
+	// pluggability) by constructing a fresh similarity instance per model
+	// refit (the sharded store fits each snapshot on a new instance
 	// so readers of the previous snapshot are never disturbed). seed is
 	// derived deterministically from the store seed, the shard and the
 	// revision being fitted, so a deferred refit produces the same model an
@@ -96,8 +87,7 @@ type Config struct {
 	NewSimilarity func(seed uint64) Similarity
 	// SplitSize is the shard occupancy (in entries) at which the sharded
 	// store attempts to split a shard in two by 2-means. Larger values mean
-	// coarser shards and behaviour closer to the monolith's single global
-	// model.
+	// coarser shards, approaching one global model.
 	SplitSize int
 	// MaxShards bounds the shard count; once reached, shards only grow.
 	MaxShards int
@@ -116,8 +106,8 @@ func DefaultConfig() Config {
 
 // Info is a rich snapshot of a store's state, for stats endpoints.
 type Info struct {
-	// Store names the implementation ("monolith", "sharded"; the
-	// persistence layer passes its inner store's name through).
+	// Store names the implementation ("sharded"; the persistence layer
+	// passes its inner store's name through).
 	Store string
 	// Entries, Hits and Misses mirror Len and Stats.
 	Entries int
@@ -130,7 +120,7 @@ type Info struct {
 	// entries; a lower value means refits are pending behind the watermark
 	// (the sharded store defers them until a lookup needs the shard).
 	ModelRev uint64
-	// Shards is the shard count (1 for the monolith).
+	// Shards is the shard count.
 	Shards int
 	// Similarity names the active technique.
 	Similarity string

@@ -1,6 +1,7 @@
 package gt
 
 import (
+	"path/filepath"
 	"testing"
 
 	"pipetune/internal/params"
@@ -60,10 +61,22 @@ func familyEntry(family, i, nFamilies int) Entry {
 	}
 }
 
-// eachStore runs a subtest against a fresh instance of every Store
-// implementation.
+// eachStore runs a subtest against a fresh sharded store and a fresh
+// WAL-backed persistent store over one (the store the daemon runs).
 func eachStore(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Helper()
-	t.Run("monolith", func(t *testing.T) { fn(t, NewMonolith(DefaultConfig(), 1)) })
 	t.Run("sharded", func(t *testing.T) { fn(t, NewSharded(DefaultConfig(), 1)) })
+	t.Run("persistent", func(t *testing.T) { fn(t, persistentOver(t, NewSharded(DefaultConfig(), 1))) })
+}
+
+// persistentOver opens a persistent store over inner in a fresh temporary
+// directory, closed when the test ends.
+func persistentOver(t testing.TB, inner Store) *Persistent {
+	t.Helper()
+	p, err := OpenPersistent(filepath.Join(t.TempDir(), "gt.json"), inner, PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
 }

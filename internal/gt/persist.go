@@ -123,8 +123,7 @@ func OpenPersistent(path string, inner Store, opt PersistOptions) (*Persistent, 
 	}
 
 	// Collect the log's records first and fold base+replay into ONE
-	// Replace: an eager inner store (the monolith) then refits once
-	// instead of once per replayed record.
+	// Replace instead of one Add per replayed record.
 	var replayed []Entry
 	w, lastSeq, tailErr, err := openWAL(WALPath(path), snapSeq, func(rec walRecord) error {
 		replayed = append(replayed, rec.Entry)

@@ -84,7 +84,7 @@ func TestPersistentCompaction(t *testing.T) {
 func TestPersistentLoadsLegacySnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gt.json")
-	legacy := NewMonolith(DefaultConfig(), 1)
+	legacy := NewSharded(DefaultConfig(), 1)
 	for i := 0; i < 8; i++ {
 		if err := legacy.Add(gtEntry(i)); err != nil {
 			t.Fatal(err)

@@ -95,16 +95,13 @@ func TestNearestNeighborSimilarityDegenerate(t *testing.T) {
 }
 
 // TestStoreWithNearestNeighbor exercises §5.4's pluggability on both
-// stores: the monolith takes a fixed instance, the sharded store a
-// factory.
+// store subjects: the similarity factory replaces k-means.
 func TestStoreWithNearestNeighbor(t *testing.T) {
-	cfgMono := DefaultConfig()
-	cfgMono.Similarity = NewNearestNeighborSimilarity(3.0)
-	cfgShard := DefaultConfig()
-	cfgShard.NewSimilarity = func(uint64) Similarity { return NewNearestNeighborSimilarity(3.0) }
+	cfg := DefaultConfig()
+	cfg.NewSimilarity = func(uint64) Similarity { return NewNearestNeighborSimilarity(3.0) }
 	for name, s := range map[string]Store{
-		"monolith": NewMonolith(cfgMono, 1),
-		"sharded":  NewSharded(cfgShard, 1),
+		"sharded":    NewSharded(cfg, 1),
+		"persistent": persistentOver(t, NewSharded(cfg, 1)),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if s.SimilarityName() != "nearest-neighbor" {

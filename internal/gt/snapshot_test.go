@@ -12,7 +12,7 @@ import (
 // TestStoreConcurrentAddSaveLoad hammers one database from many
 // goroutines — adders (concurrent jobs feeding trials), lookups and
 // snapshotters — then verifies a final SaveFile/LoadFile round-trip
-// reproduces the entries exactly. Runs against both implementations.
+// reproduces the entries exactly. Runs against both subjects.
 func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		dir := t.TempDir()
@@ -55,7 +55,7 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 		if rev != s.Rev() {
 			t.Errorf("final snapshot rev %d != database rev %d", rev, s.Rev())
 		}
-		restored := restoredPeer(s, 1)
+		restored := restoredPeer(t, s, 1)
 		if err := LoadFile(restored, path); err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 // every read of the target path parses as complete JSON — a reader can
 // never observe a partially written snapshot.
 func TestSnapshotNeverHalfWritten(t *testing.T) {
-	s := NewMonolith(DefaultConfig(), 1)
+	s := NewSharded(DefaultConfig(), 1)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gt.json")
 	if _, err := SaveFile(s, path); err != nil {
@@ -129,7 +129,7 @@ func TestSnapshotNeverHalfWritten(t *testing.T) {
 // TestSaveFileFailureLeavesTargetIntact points SaveFile at an unwritable
 // location and checks the existing snapshot is untouched.
 func TestSaveFileFailureLeavesTargetIntact(t *testing.T) {
-	s := NewMonolith(DefaultConfig(), 1)
+	s := NewSharded(DefaultConfig(), 1)
 	if err := s.Add(gtEntry(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestLoadFileMissing(t *testing.T) {
 // BenchmarkGroundTruthSaveFile measures the atomic snapshot cost at a
 // realistic database size.
 func BenchmarkGroundTruthSaveFile(b *testing.B) {
-	s := NewMonolith(DefaultConfig(), 1)
+	s := NewSharded(DefaultConfig(), 1)
 	for i := 0; i < 256; i++ {
 		if err := s.Add(gtEntry(i)); err != nil {
 			b.Fatal(err)

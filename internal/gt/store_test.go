@@ -68,12 +68,12 @@ func TestStoreAddValidation(t *testing.T) {
 }
 
 // restoredPeer builds an empty store of the same implementation.
-func restoredPeer(s Store, seed uint64) Store {
+func restoredPeer(t *testing.T, s Store, seed uint64) Store {
 	switch s.(type) {
-	case *Monolith:
-		return NewMonolith(DefaultConfig(), seed)
 	case *Sharded:
 		return NewSharded(DefaultConfig(), seed)
+	case *Persistent:
+		return persistentOver(t, NewSharded(DefaultConfig(), seed))
 	}
 	panic(fmt.Sprintf("unknown store %T", s))
 }
@@ -88,7 +88,7 @@ func TestStoreSaveLoad(t *testing.T) {
 		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		restored := restoredPeer(s, 2)
+		restored := restoredPeer(t, s, 2)
 		if err := restored.Load(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -108,9 +108,9 @@ func TestStoreSaveLoad(t *testing.T) {
 	})
 }
 
-// TestStoreLoadLegacyFormat feeds both stores a pre-refactor snapshot
-// (the exact JSON shape core.GroundTruth.Save used to write — entries
-// only, no seq field): migration requires it to load unchanged.
+// TestStoreLoadLegacyFormat feeds both subjects a pre-WAL snapshot (the
+// JSON shape the original single-model store wrote — entries only, no
+// seq field): migration requires it to load unchanged.
 func TestStoreLoadLegacyFormat(t *testing.T) {
 	legacy := `{"entries":[` +
 		`{"features":[1,2,3],"bestSys":{"cores":4,"memoryGB":8},"metric":0.9},` +

@@ -309,7 +309,8 @@ func (n *refNetwork) TrainBatch(x refBatch, labels []int, lr float64) (float64, 
 func (n *refNetwork) TrainEpoch(set *dataset.Set, batchSize int, lr float64, r *xrand.Source) (float64, error) {
 	perm := r.Perm(set.Len())
 	total, batches := 0.0, 0
-	for _, idx := range dataset.Batches(set.Len(), batchSize, perm) {
+	for start := 0; start < len(perm); start += batchSize {
+		idx := perm[start:min(start+batchSize, len(perm))]
 		x := make(refBatch, len(idx))
 		labels := make([]int, len(idx))
 		for i, sIdx := range idx {

@@ -1,12 +1,14 @@
 package tune
 
-// Tests for the event-driven scheduler refactor: parity with the legacy
-// barrier scheduler under FIFO, determinism, alternative placement
-// policies, and the monotone-progress regression.
+// Tests for the event-driven scheduler: determinism, alternative
+// placement policies, and the monotone-progress regression. Its FIFO
+// results are pinned by TestGoldenRunJob.
 
 import (
 	"testing"
 
+	"pipetune/internal/cluster"
+	"pipetune/internal/dataset"
 	"pipetune/internal/params"
 	"pipetune/internal/sched"
 	"pipetune/internal/search"
@@ -22,41 +24,26 @@ func hyperbandSpec() JobSpec {
 	return spec
 }
 
-func TestEventSchedulerMatchesBarrierFIFO(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		spec JobSpec
-	}{
-		{"grid-v1", baseSpec(ModeV1, MaximizeAccuracy)},
-		{"grid-v2", baseSpec(ModeV2, MaximizeAccuracyPerTime)},
-		{"hyperband-v1", hyperbandSpec()},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			r := testRunner()
-			event, err := r.RunJob(mk.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			barrier, err := r.RunJobBarrier(mk.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if event.TuningTime != barrier.TuningTime {
-				t.Fatalf("FIFO event TuningTime %v != barrier %v", event.TuningTime, barrier.TuningTime)
-			}
-			if event.Best.ID != barrier.Best.ID || event.Best.Score != barrier.Best.Score {
-				t.Fatalf("best diverged: event %d/%v vs barrier %d/%v",
-					event.Best.ID, event.Best.Score, barrier.Best.ID, barrier.Best.Score)
-			}
-			if len(event.Trials) != len(barrier.Trials) {
-				t.Fatalf("trial counts diverged: %d vs %d", len(event.Trials), len(barrier.Trials))
-			}
-			// Energy is summed in completion order rather than batch order,
-			// so only float rounding may differ.
-			if diff := event.TotalEnergy - barrier.TotalEnergy; diff > 1e-6 || diff < -1e-6 {
-				t.Fatalf("energy diverged: %v vs %v", event.TotalEnergy, barrier.TotalEnergy)
-			}
-		})
+// catalogRunner and catalogSpec are the standard V1 HyperBand job over a
+// Table 3 workload: paper search spaces, 4 epochs, seed 42, corpus 128/64.
+func catalogRunner() *Runner {
+	tr := trainer.NewRunner()
+	tr.Data = dataset.Config{TrainSize: 128, TestSize: 64}
+	return NewRunner(tr, cluster.Paper())
+}
+
+func catalogSpec(w workload.Workload) JobSpec {
+	h := params.DefaultHyper()
+	h.Epochs = 4
+	return JobSpec{
+		Workload:    w,
+		Mode:        ModeV1,
+		Objective:   MaximizeAccuracy,
+		HyperSpace:  params.PaperHyperSpace(),
+		SystemSpace: params.PaperSystemSpace(),
+		BaseHyper:   h,
+		BaseSys:     params.DefaultSysConfig(),
+		Seed:        42,
 	}
 }
 
@@ -81,6 +68,26 @@ func TestEventSchedulerDeterministic(t *testing.T) {
 			if a.Trials[i].ID != b.Trials[i].ID || a.Trials[i].Start != b.Trials[i].Start {
 				t.Fatalf("%s: trial schedule diverged at %d", policy.Name(), i)
 			}
+		}
+	}
+
+	// The catalog HyperBand job under FIFO: a second run on a fresh
+	// Runner reproduces the first byte for byte.
+	catalog := workload.Catalog()
+	if testing.Short() {
+		catalog = catalog[:2]
+	}
+	for _, w := range catalog {
+		a, err := catalogRunner().RunJob(catalogSpec(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := catalogRunner().RunJob(catalogSpec(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mustJSON(t, a) != mustJSON(t, b) {
+			t.Fatalf("%s: same seed diverged", w.Name())
 		}
 	}
 }

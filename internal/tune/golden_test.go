@@ -6,37 +6,10 @@ import (
 	"fmt"
 	"testing"
 
-	"pipetune/internal/cluster"
-	"pipetune/internal/dataset"
 	"pipetune/internal/golden"
-	"pipetune/internal/params"
 	"pipetune/internal/sched"
-	"pipetune/internal/trainer"
 	"pipetune/internal/workload"
 )
-
-// catalogRunner and catalogSpec are the standard V1 HyperBand job over a
-// Table 3 workload: paper search spaces, 4 epochs, seed 42, corpus 128/64.
-func catalogRunner() *Runner {
-	tr := trainer.NewRunner()
-	tr.Data = dataset.Config{TrainSize: 128, TestSize: 64}
-	return NewRunner(tr, cluster.Paper())
-}
-
-func catalogSpec(w workload.Workload) JobSpec {
-	h := params.DefaultHyper()
-	h.Epochs = 4
-	return JobSpec{
-		Workload:    w,
-		Mode:        ModeV1,
-		Objective:   MaximizeAccuracy,
-		HyperSpace:  params.PaperHyperSpace(),
-		SystemSpace: params.PaperSystemSpace(),
-		BaseHyper:   h,
-		BaseSys:     params.DefaultSysConfig(),
-		Seed:        42,
-	}
-}
 
 // TestGoldenRunJob pins RunJob to one digest: canonical JobResult JSON
 // for the catalog under FIFO (grid and HyperBand searchers), ModeV2, the

@@ -5,6 +5,7 @@ import (
 
 	"pipetune/internal/cluster"
 	"pipetune/internal/params"
+	"pipetune/internal/sched"
 	"pipetune/internal/trainer"
 	"pipetune/internal/workload"
 )
@@ -19,6 +20,27 @@ func mkRecord(id int, sys params.SysConfig, duration float64) TrialRecord {
 			Duration: duration,
 		},
 	}
+}
+
+// scheduleRecords places finished trials on r's cluster through the
+// event engine RunJob uses, under FIFO with at most slots in flight and
+// every trial arriving at clock. It stamps each record's Start/End and
+// returns the makespan end time.
+func scheduleRecords(r *Runner, records []TrialRecord, clock float64, slots int) (float64, error) {
+	eng := sched.New(r.Cluster.SchedPool(), sched.FIFO(), slots)
+	for i := range records {
+		rec := &records[i]
+		task := sched.Task{ID: rec.ID, Arrival: clock, Sys: rec.StartSys, Duration: rec.Result.Duration}
+		if err := eng.Submit(task, func(_ sched.Task, st sched.TaskStats) {
+			rec.Start, rec.End = st.Start, st.End
+		}); err != nil {
+			return 0, err
+		}
+	}
+	if err := eng.Run(); err != nil {
+		return 0, err
+	}
+	return eng.Now(), nil
 }
 
 func schedRunner(t *testing.T, nodes, cores, mem int) *Runner {
@@ -38,7 +60,7 @@ func TestScheduleBatchFullyParallelWhenFits(t *testing.T) {
 		mkRecord(2, params.SysConfig{Cores: 8, MemoryGB: 8}, 100),
 		mkRecord(3, params.SysConfig{Cores: 8, MemoryGB: 8}, 100),
 	}
-	end, err := r.scheduleBatch(records, 0, 8)
+	end, err := scheduleRecords(r, records, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +82,7 @@ func TestScheduleBatchOversizedTrialsSerialise(t *testing.T) {
 		mkRecord(0, params.SysConfig{Cores: 16, MemoryGB: 16}, 100),
 		mkRecord(1, params.SysConfig{Cores: 16, MemoryGB: 16}, 100),
 	}
-	end, err := r.scheduleBatch(records, 0, 8)
+	end, err := scheduleRecords(r, records, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +103,7 @@ func TestScheduleBatchMixedFootprints(t *testing.T) {
 		mkRecord(1, params.SysConfig{Cores: 8, MemoryGB: 8}, 60),
 		mkRecord(2, params.SysConfig{Cores: 8, MemoryGB: 8}, 60),
 	}
-	end, err := r.scheduleBatch(records, 0, 8)
+	end, err := scheduleRecords(r, records, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +124,7 @@ func TestScheduleBatchRespectsSlotCap(t *testing.T) {
 		mkRecord(1, params.SysConfig{Cores: 4, MemoryGB: 4}, 10),
 		mkRecord(2, params.SysConfig{Cores: 4, MemoryGB: 4}, 10),
 	}
-	end, err := r.scheduleBatch(records, 0, 1)
+	end, err := scheduleRecords(r, records, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +136,7 @@ func TestScheduleBatchRespectsSlotCap(t *testing.T) {
 func TestScheduleBatchStartsFromClock(t *testing.T) {
 	r := schedRunner(t, 1, 16, 32)
 	records := []TrialRecord{mkRecord(0, params.SysConfig{Cores: 8, MemoryGB: 8}, 10)}
-	end, err := r.scheduleBatch(records, 500, 4)
+	end, err := scheduleRecords(r, records, 500, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +148,7 @@ func TestScheduleBatchStartsFromClock(t *testing.T) {
 func TestScheduleBatchUnfittableConfig(t *testing.T) {
 	r := schedRunner(t, 1, 8, 16)
 	records := []TrialRecord{mkRecord(0, params.SysConfig{Cores: 16, MemoryGB: 8}, 10)}
-	if _, err := r.scheduleBatch(records, 0, 4); err == nil {
+	if _, err := scheduleRecords(r, records, 0, 4); err == nil {
 		t.Fatal("unfittable trial accepted")
 	}
 }

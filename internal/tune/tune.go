@@ -20,8 +20,7 @@
 // the searcher the instant it completes — there is no batch barrier. Trials
 // whose epoch log shows a mid-trial system reconfiguration (PipeTune's
 // pipelined tuning) re-negotiate their cluster allocation at the matching
-// simulated instant. The pre-refactor barrier scheduler survives as
-// RunJobBarrier, the regression reference.
+// simulated instant.
 //
 // Trial bodies execute through a pluggable exec.Backend — by default the
 // local in-process pool, optionally a remote worker fleet — and all
@@ -35,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"pipetune/internal/cluster"
 	"pipetune/internal/ec2"
@@ -649,143 +647,6 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 		}
 	}
 	return res, nil
-}
-
-// RunJobBarrier executes the HPT job under the pre-refactor batch-barrier
-// model: every searcher batch runs to its collective makespan before any
-// result is observed. Retained as the regression reference the event-driven
-// scheduler is benchmarked against (bench_test.go) — its TuningTime is the
-// ceiling RunJob must stay at or below.
-func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
-	searcher, slots, workers, err := r.prepare(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &JobResult{Spec: spec}
-	clock := 0.0 // simulated wall clock; batches are barrier-synchronised
-
-	for {
-		batch := searcher.Next()
-		if len(batch) == 0 {
-			break
-		}
-		records, err := r.runBatch(context.Background(), spec, batch, workers)
-		if err != nil {
-			return nil, err
-		}
-		// Simulated resource-aware scheduling of the batch: trials claim
-		// their actual footprint (V2's oversized trials therefore reduce
-		// effective parallelism, one of the reasons its tuning time grows,
-		// §7.3), bounded additionally by the MaxParallel slot count.
-		end, err := r.scheduleBatch(records, clock, slots)
-		if err != nil {
-			return nil, err
-		}
-		clock = end
-		reports := make([]search.Report, 0, len(records))
-		for i := range records {
-			reports = append(reports, search.Report{ID: records[i].ID, Score: records[i].Score})
-		}
-		searcher.Observe(reports)
-
-		// Fold into the job result, maintaining the progress curve in
-		// completion-time order.
-		res.Trials = append(res.Trials, records...)
-		for i := range records {
-			rec := &records[i]
-			res.TotalEnergy += rec.Result.EnergyJ
-			if spec.OnTrialDone != nil {
-				spec.OnTrialDone(rec.ID, rec.Result)
-			}
-			if res.Best == nil || rec.Score > res.Best.Score {
-				cp := *rec
-				res.Best = &cp
-			}
-		}
-	}
-	if res.Best == nil {
-		return nil, errors.New("tune: searcher proposed no trials")
-	}
-	res.TuningTime = clock
-
-	// Progress curve: trials sorted by simulated completion time.
-	done := make([]TrialRecord, len(res.Trials))
-	copy(done, res.Trials)
-	sort.SliceStable(done, func(i, j int) bool { return done[i].End < done[j].End })
-	bestAcc := 0.0
-	for _, rec := range done {
-		if rec.Result.Accuracy > bestAcc {
-			bestAcc = rec.Result.Accuracy
-		}
-		res.Progress = append(res.Progress, ProgressPoint{
-			Time:          rec.End,
-			BestAccuracy:  bestAcc,
-			TrialDuration: rec.Result.Duration,
-		})
-	}
-	return res, nil
-}
-
-// scheduleBatch assigns simulated start/end times to the batch's records
-// in ID order against a scratch copy of the cluster: each trial waits until
-// its own system footprint fits (FIFO within the batch), with at most
-// `slots` trials in flight. It returns the batch makespan end time.
-func (r *Runner) scheduleBatch(records []TrialRecord, clock float64, slots int) (float64, error) {
-	scratch := r.Cluster.Clone()
-	type running struct {
-		end   float64
-		alloc *cluster.Alloc
-	}
-	var inFlight []running
-	now := clock
-	finishEarliest := func() error {
-		// Pop the earliest-finishing trial and free its resources.
-		idx := 0
-		for i := 1; i < len(inFlight); i++ {
-			if inFlight[i].end < inFlight[idx].end {
-				idx = i
-			}
-		}
-		if inFlight[idx].end > now {
-			now = inFlight[idx].end
-		}
-		if err := inFlight[idx].alloc.Release(); err != nil {
-			return err
-		}
-		inFlight = append(inFlight[:idx], inFlight[idx+1:]...)
-		return nil
-	}
-	for i := range records {
-		rec := &records[i]
-		for {
-			if len(inFlight) < slots {
-				alloc, err := scratch.Allocate(rec.StartSys)
-				if err == nil {
-					rec.Start = now
-					rec.End = now + rec.Result.Duration
-					inFlight = append(inFlight, running{end: rec.End, alloc: alloc})
-					break
-				}
-				if !errors.Is(err, cluster.ErrInsufficient) {
-					return 0, err
-				}
-			}
-			if len(inFlight) == 0 {
-				return 0, fmt.Errorf("tune: trial %d config %v cannot ever fit", rec.ID, rec.StartSys)
-			}
-			if err := finishEarliest(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	end := now
-	for _, f := range inFlight {
-		if f.end > end {
-			end = f.end
-		}
-	}
-	return end, nil
 }
 
 // runBatch executes one searcher batch on the execution backend and

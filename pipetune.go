@@ -153,7 +153,11 @@ type System struct {
 	tuner    *tune.Runner
 	pipetune *core.PipeTune
 	seed     uint64
-	err      error // first option error; surfaced by New
+	// newGT builds the ground-truth store from the final seed once every
+	// option has been applied, so WithSeed reaches the store in any
+	// option order. The last store option wins.
+	newGT func(seed uint64) gt.Store
+	err   error // first option error; surfaced by New
 }
 
 // Option customises a System.
@@ -332,11 +336,13 @@ func WithEnergyObjective() Option {
 // mean nearest-neighbour distance that bounds confident matches.
 func WithNearestNeighborSimilarity(threshold float64) Option {
 	return func(s *System) {
-		cfg := gt.DefaultConfig()
-		cfg.NewSimilarity = func(uint64) gt.Similarity {
-			return gt.NewNearestNeighborSimilarity(threshold)
+		s.newGT = func(seed uint64) gt.Store {
+			cfg := gt.DefaultConfig()
+			cfg.NewSimilarity = func(uint64) gt.Similarity {
+				return gt.NewNearestNeighborSimilarity(threshold)
+			}
+			return gt.NewSharded(cfg, seed)
 		}
-		s.pipetune.GT = gt.NewSharded(cfg, s.seed)
 	}
 }
 
@@ -362,20 +368,20 @@ func WithExecBackend(b ExecBackend) Option {
 func (s *System) SetExecBackend(b ExecBackend) { s.tuner.Exec = b }
 
 // GroundTruthStore is the pluggable ground-truth database behind
-// PipeTune's cross-job reuse (§5.4): the default sharded store, the
-// classic monolith, or the daemon's WAL-backed persistent wrapper.
+// PipeTune's cross-job reuse (§5.4): the default sharded store or the
+// daemon's WAL-backed persistent wrapper over it.
 type GroundTruthStore = gt.Store
 
 // WithGroundTruthStore replaces the System's ground-truth store — e.g. a
-// pre-warmed store shared across Systems, the classic monolithic
-// implementation, or a custom Store. A nil store fails pipetune.New.
+// pre-warmed store shared across Systems, or a custom Store. A nil store
+// fails pipetune.New.
 func WithGroundTruthStore(store GroundTruthStore) Option {
 	return func(s *System) {
 		if store == nil {
 			s.fail(errors.New("pipetune: WithGroundTruthStore: nil store"))
 			return
 		}
-		s.pipetune.GT = store
+		s.newGT = func(uint64) gt.Store { return store }
 	}
 }
 
@@ -385,10 +391,13 @@ func New(opts ...Option) (*System, error) {
 		trainer: trainer.NewRunner(),
 		cluster: cluster.Paper(),
 		seed:    1,
+		newGT: func(seed uint64) gt.Store {
+			return gt.NewSharded(gt.DefaultConfig(), seed)
+		},
 	}
-	// Order matters: construct PipeTune after defaults so that options can
-	// override both. Run options twice is unnecessary — options that touch
-	// pipetune fields are applied after construction below.
+	// The tuner and the PipeTune middleware exist before the options run,
+	// so options can set their fields; the cluster and the ground-truth
+	// store are wired afterwards from the options' final values.
 	s.tuner = tune.NewRunner(s.trainer, s.cluster)
 	s.pipetune = core.New(s.tuner, s.seed)
 	for _, opt := range opts {
@@ -397,11 +406,8 @@ func New(opts ...Option) (*System, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	// Re-wire in case the cluster was swapped by an option.
 	s.tuner.Cluster = s.cluster
-	if s.pipetune.GT == nil {
-		return nil, errors.New("pipetune: ground truth not initialised")
-	}
+	s.pipetune.GT = s.newGT(s.seed)
 	return s, nil
 }
 

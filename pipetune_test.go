@@ -6,6 +6,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"pipetune/internal/gt"
 )
 
 var errNoBest = errors.New("job completed without a best trial")
@@ -235,6 +237,40 @@ func TestFacadeNearestNeighborSimilarity(t *testing.T) {
 	_, hits, _ := s.GroundTruthStats()
 	if hits == 0 {
 		t.Fatal("k-NN similarity never hit after bootstrap")
+	}
+}
+
+// TestFacadeSeedReachesGroundTruth pins that WithSeed seeds the default
+// ground-truth store in any option order: a PipeTune job on
+// New(WithSeed(s)) is byte-identical to one on an explicitly seeded
+// sharded store, and WithNearestNeighborSimilarity gives the same job
+// before and after WithSeed.
+func TestFacadeSeedReachesGroundTruth(t *testing.T) {
+	const seed = 42
+	run := func(opts ...Option) string {
+		t.Helper()
+		s, err := New(append([]Option{WithCorpusSize(128, 64)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Bootstrap(WorkloadsOfType(TypeI)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunPipeTune(fastSpec(s, Workload{Model: LeNet5, Dataset: MNIST}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js)
+	}
+	if run(WithSeed(seed)) != run(WithSeed(seed), WithGroundTruthStore(gt.NewSharded(gt.DefaultConfig(), seed))) {
+		t.Error("WithSeed did not reach the default ground-truth store")
+	}
+	if run(WithSeed(seed), WithNearestNeighborSimilarity(3.0)) != run(WithNearestNeighborSimilarity(3.0), WithSeed(seed)) {
+		t.Error("WithNearestNeighborSimilarity depends on the option order")
 	}
 }
 
